@@ -30,7 +30,7 @@ def main():
         rows = cli.run_scan(cfg, kind)
         path = args.out / f"scan_{kind}.csv"
         cli.write_scan_csv(path, rows)
-        cli._write_json(args.out / f"scan_{kind}.config.json", cfg.to_dict())
+        cli.write_json(args.out / f"scan_{kind}.config.json", cfg.to_dict())
         print(f"wrote {path} ({len(rows)} points)")
 
     closure = time_cfg.gate_params().tau_g * 1e6

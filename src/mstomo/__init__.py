@@ -13,16 +13,16 @@ from .core import (BASIS_LABELS, DensityReport, basis_state, density_from_dict,
                    density_to_dict, herm_eig, kron, partial_transpose,
                    pauli_expansion, pauli_reconstruct, projector,
                    random_density, single_qubit_rotation, validate_density)
-from .gate import (ErrorBudget, GateParams, ModeParams, SpinMotionState,
-                   TruncationError, apply_ideal_gate, brightness_closed,
-                   brightness_curve, displacement_alpha, error_budget,
-                   gate_operating_point, parity_closed, parity_curve,
-                   prep_error_channel, propagate_spin_motion,
-                   scattering_channel, target_state, trajectory_phase)
+from .gate import (ErrorBudget, GateParams, SpinMotionState, TruncationError,
+                   apply_ideal_gate, brightness_closed, brightness_curve,
+                   displacement_alpha, error_budget, gate_operating_point,
+                   parity_closed, prep_error_channel, propagate_spin_motion,
+                   scattering_channel, signal_curves, target_state,
+                   trajectory_phase)
 from .measures import (MeasuresReport, ParityScan, PhaseFit, analyze,
                        concurrence_eof, fidelity, fit_target_phase, negativity,
                        parity_analysis)
-from .sampling import BootstrapReport, bootstrap, multinomial_sample
+from .sampling import BootstrapReport, bootstrap
 from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
                          DetectionModel, LinearInversionResult,
                          TomographyResult, calibrate_detection,

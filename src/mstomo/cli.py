@@ -2,7 +2,9 @@
 
 Subcommands:
 
-* ``scan {detuning,time,parity}`` - brightness/parity grids to CSV;
+* ``scan {detuning,time}`` - brightness and parity grids to CSV, from the
+  closed forms at ``nbar = 0`` and one thermal propagation per point
+  otherwise;
 * ``tomo`` - prepare a labeled input, apply the noisy gate, simulate the
   nine-basis measurement, reconstruct and quantify the state;
 * ``budget`` - complete the laser/atomic error budget;
@@ -29,8 +31,8 @@ from . import __version__
 from .config import KHZ, US, ConfigError, RunConfig, load_config
 from .core import basis_state, density_from_dict, density_to_dict, projector, validate_density
 from .gate import (TruncationError, apply_contrast, apply_ideal_gate,
-                   brightness_curve, error_budget, parity_curve,
-                   prep_error_channel, scattering_channel)
+                   error_budget, prep_error_channel, scattering_channel,
+                   signal_curves)
 from .measures import MeasuresReport, analyze, fit_target_phase, parity_class
 from .sampling import BootstrapReport, bootstrap
 from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
@@ -41,10 +43,6 @@ from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
 
 SCAN_HEADER = ("t_us", "delta_kHz", "s_av", "parity")
 STATE_LABELS = ("uu", "dd", "ud", "du")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +58,14 @@ def run_scan(cfg: RunConfig, kind: str) -> list[tuple[float, float, float, float
         if (deltas == 0).any():
             raise ConfigError("detuning scan range must not cross zero")
         grid = [(cfg.scan_t_us * US, d * KHZ) for d in deltas]
-    elif kind in ("time", "parity"):
+    elif kind == "time":
         times = np.linspace(cfg.scan_t_min_us, cfg.scan_t_max_us, cfg.scan_points)
         grid = [(t * US, params.delta) for t in times]
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
 
-    s_av = apply_contrast(brightness_curve(params, grid, cfg.nbar, cfg.n_max),
-                          cfg.contrast, cfg.offset)
-    parity = parity_curve(params, grid, cfg.nbar, cfg.n_max)
+    brightness, parity = signal_curves(params, grid, cfg.nbar)
+    s_av = apply_contrast(brightness, cfg.contrast, cfg.offset)
     return [(t / US, d / KHZ, s, p)
             for (t, d), s, p in zip(grid, s_av, parity)]
 
@@ -79,6 +76,10 @@ def write_scan_csv(path: Path, rows) -> None:
         writer.writerow(SCAN_HEADER)
         for row in rows:
             writer.writerow([f"{v:.10g}" for v in row])
+
+
+def write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +169,20 @@ def write_tomography(out: Path, cfg: RunConfig, result: PipelineResult,
     }
     density_doc["config"] = cfg_doc
     density_path = out / f"{stem}_density.json"
-    _write_json(density_path, density_doc)
+    write_json(density_path, density_doc)
     written.append(density_path)
 
     measures_doc = result.report.to_dict()
     measures_doc["config"] = cfg_doc
     measures_path = out / f"{stem}_measures.json"
-    _write_json(measures_path, measures_doc)
+    write_json(measures_path, measures_doc)
     written.append(measures_path)
 
     if result.boot is not None:
         boot_doc = result.boot.to_dict()
         boot_doc["config"] = cfg_doc
         boot_path = out / f"{stem}_bootstrap.json"
-        _write_json(boot_path, boot_doc)
+        write_json(boot_path, boot_doc)
         written.append(boot_path)
 
     if emit_intermediate:
@@ -192,11 +193,11 @@ def write_tomography(out: Path, cfg: RunConfig, result: PipelineResult,
         }
         linear_doc["config"] = cfg_doc
         linear_path = out / f"{stem}_linear.json"
-        _write_json(linear_path, linear_doc)
+        write_json(linear_path, linear_doc)
         written.append(linear_path)
 
     sidecar = out / f"{stem}.config.json"
-    _write_json(sidecar, cfg_doc)
+    write_json(sidecar, cfg_doc)
     written.append(sidecar)
     return written
 
@@ -265,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if missing)")
 
     p_scan = sub.add_parser("scan", help="brightness/parity grid scans")
-    p_scan.add_argument("kind", choices=("detuning", "time", "parity"))
+    p_scan.add_argument("kind", choices=("detuning", "time"))
     common(p_scan)
 
     p_tomo = sub.add_parser("tomo", help="end-to-end tomography of one target")
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
             rows = run_scan(cfg, args.kind)
             csv_path = out / f"scan_{args.kind}.csv"
             write_scan_csv(csv_path, rows)
-            _write_json(out / f"scan_{args.kind}.config.json", cfg.to_dict())
+            write_json(out / f"scan_{args.kind}.config.json", cfg.to_dict())
             print(f"wrote {csv_path} ({len(rows)} points)")
 
         elif args.command == "tomo":
@@ -337,14 +338,14 @@ def main(argv=None) -> int:
         elif args.command == "budget":
             table, doc = budget_table(cfg)
             doc["config"] = cfg.to_dict()
-            _write_json(out / "budget.json", doc)
+            write_json(out / "budget.json", doc)
             print(table)
 
         elif args.command == "analyze":
             report = analyze_density_file(args.density, args.state)
             doc = report.to_dict()
             doc["source"] = str(args.density)
-            _write_json(out / "measures.json", doc)
+            write_json(out / "measures.json", doc)
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
 
     except ConfigError as exc:

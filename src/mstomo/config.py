@@ -34,7 +34,6 @@ class RunConfig:
     phi_e_rad: float = 0.0
     phi_o_rad: float = 0.0
     nbar: float = 0.0
-    n_max: int = 20
     # noise channels
     p_sc: float = 0.0
     kappa: float = 0.27
@@ -67,6 +66,12 @@ class RunConfig:
     tau_g_us: float | None = 80.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.eta_omega_khz <= 0:
             raise ConfigError("eta_omega_khz must be positive")
         if self.delta_khz is not None and self.delta_khz == 0:
@@ -123,7 +128,7 @@ class RunConfig:
 
 
 _OPTIONAL = ("delta_khz", "dnu_st_khz", "tau_g_us")
-_INT_FIELDS = ("m", "n_max", "shots", "control_shots",
+_INT_FIELDS = ("m", "shots", "control_shots",
                "bootstrap_resamples", "seed", "scan_points")
 
 

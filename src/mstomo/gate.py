@@ -9,19 +9,21 @@ The bichromatic spin-dependent force is represented two independent ways:
   operator.
 
 The two routes are kept strictly independent so each can serve as the
-oracle for the other. The entangling action in the computational basis is
-exposed as a 4x4 unitary (:func:`apply_ideal_gate`); spontaneous-scattering
-and state-preparation imperfections are end-of-gate convex mixtures.
+oracle for the other. Scans (:func:`signal_curves`) use the closed forms
+for ground-state motion and, for a thermal mode, one propagation per grid
+point that yields both signals. The entangling action in the computational
+basis is exposed as a 4x4 unitary (:func:`apply_ideal_gate`);
+spontaneous-scattering and state-preparation imperfections are end-of-gate
+convex mixtures.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import hbar
 from scipy.linalg import expm
 
 from .core import basis_state, kron, projector
@@ -43,50 +45,6 @@ class TruncationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModeParams:
-    """Collective-motion mode of a two-ion crystal along the trap axis.
-
-    Parameters are SI: ``omega_c`` the center-of-mass angular frequency
-    (rad/s), ``mass`` the total excitation mass (kg), ``wavevector`` the
-    Raman wavevector difference along the motion (1/m). The stretch mode
-    sits at ``sqrt(3) * omega_c``.
-    """
-
-    omega_c: float
-    mass: float
-    wavevector: float
-    mode: str = "stretch"
-
-    def __post_init__(self):
-        if min(self.omega_c, self.mass, self.wavevector) <= 0:
-            raise ValueError("mode parameters must be positive")
-        if self.mode not in ("stretch", "com"):
-            raise ValueError(f"mode must be 'stretch' or 'com', got {self.mode!r}")
-        if not self.lamb_dicke < 0.3:
-            raise ValueError(
-                f"Lamb-Dicke parameter {self.lamb_dicke:.3f} outside the "
-                "regime (< 0.3) assumed by the closed forms")
-
-    @property
-    def omega_s(self) -> float:
-        return math.sqrt(3.0) * self.omega_c
-
-    @property
-    def omega(self) -> float:
-        """Angular frequency of the selected mode."""
-        return self.omega_s if self.mode == "stretch" else self.omega_c
-
-    @property
-    def z_o(self) -> float:
-        """Zero-point wavepacket size sqrt(hbar / 2 M omega)."""
-        return math.sqrt(hbar / (2.0 * self.mass * self.omega))
-
-    @property
-    def lamb_dicke(self) -> float:
-        return self.wavevector * self.z_o
-
-
-@dataclass(frozen=True)
 class GateParams:
     """Operating parameters of the bichromatic gate drive.
 
@@ -104,7 +62,6 @@ class GateParams:
     phi_e: float = 0.0
     phi_o: float = 0.0
     nbar: float = 0.0
-    mode: ModeParams | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.eta_omega <= 0:
@@ -124,13 +81,6 @@ class GateParams:
         """Far-detuned effective two-qubit coupling (eta_omega)^2 / delta."""
         return self.eta_omega ** 2 / self.delta
 
-    @property
-    def omega_d(self) -> float:
-        """Drive frequency omega + delta; requires an attached mode."""
-        if self.mode is None:
-            raise ValueError("omega_d needs mode parameters")
-        return self.mode.omega + self.delta
-
 
 def displacement_alpha(t: float, delta: float, alpha_o: float) -> complex:
     """Phase-space displacement alpha_o (1 - exp(-i delta t)) at time t."""
@@ -148,8 +98,7 @@ def geometric_phase(m: int, alpha_o: float) -> float:
 
 
 def gate_operating_point(eta_omega: float, m: int = 1, phi_e: float = 0.0,
-                         phi_o: float = 0.0, nbar: float = 0.0,
-                         mode: ModeParams | None = None) -> GateParams:
+                         phi_o: float = 0.0, nbar: float = 0.0) -> GateParams:
     """Parameters closing the trajectory after m loops with geometric phase pi/2.
 
     The two conditions (closure ``delta tau_g = 2 pi m`` and maximal
@@ -161,7 +110,7 @@ def gate_operating_point(eta_omega: float, m: int = 1, phi_e: float = 0.0,
     delta = 2.0 * eta_omega * math.sqrt(m)
     tau_g = TWO_PI * m / delta
     return GateParams(eta_omega=eta_omega, delta=delta, m=m, tau_g=tau_g,
-                      phi_e=phi_e, phi_o=phi_o, nbar=nbar, mode=mode)
+                      phi_e=phi_e, phi_o=phi_o, nbar=nbar)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +214,6 @@ class SpinMotionState:
         """Reduced 4x4 spin density matrix (motion traced out)."""
         return self.amps @ self.amps.conj().T
 
-    def spin_populations(self) -> np.ndarray:
-        return np.sum(np.abs(self.amps) ** 2, axis=1)
-
 
 def spin_motion_product(spin: np.ndarray, n: int, n_max: int) -> SpinMotionState:
     """Product state (spin ket) x |n> on a register truncated at n_max."""
@@ -278,39 +224,53 @@ def spin_motion_product(spin: np.ndarray, n: int, n_max: int) -> SpinMotionState
     return SpinMotionState(amps)
 
 
-def _apply_force(amps: np.ndarray, d_plus: np.ndarray, phase: complex) -> np.ndarray:
-    """One spin-dependent-force step on computational-basis amplitudes."""
-    amps_x = _HX2 @ amps
+def _force(amps: np.ndarray, t: float, delta: float, alpha_o: float,
+           health_tol: float = 1e-6) -> np.ndarray:
+    """Evolve amplitudes for time t under the spin-dependent force.
+
+    ``amps`` has shape ``(4, dim)`` or ``(4, dim, k)``: computational spin
+    state, Fock level and, optionally, k independent columns that share one
+    displacement operator. In the gate-diagonal (x) spin basis the evolution
+    is the identity on the aligned states and ``exp(-i Phi) D(+/- alpha)`` on
+    the anti-aligned ones, with ``alpha`` and ``Phi`` the closed-form
+    displacement and trajectory phase. Raises :class:`TruncationError` when
+    any column leaves more than ``health_tol`` in the top Fock level, and
+    ``ValueError`` when a column's norm drifts from 1 beyond 1e-9.
+    """
+    alpha = displacement_alpha(t, delta, alpha_o)
+    phase = cmath.exp(-1j * trajectory_phase(t, delta, alpha_o))
+    d_plus = displacement_operator(alpha, amps.shape[1])
+    amps_x = (_HX2 @ amps.reshape(4, -1)).reshape(amps.shape)
     amps_x[1] = phase * (d_plus @ amps_x[1])
     # D(-alpha) = D(alpha)^dag
     amps_x[2] = phase * (d_plus.conj().T @ amps_x[2])
-    return _HX2 @ amps_x
+    out = (_HX2 @ amps_x.reshape(4, -1)).reshape(amps.shape)
+
+    level_pops = np.sum(np.abs(out) ** 2, axis=0)
+    top = float(np.max(level_pops[-1]))
+    if top > health_tol:
+        raise TruncationError(
+            f"propagation leaked {top:.2e} into the top Fock level "
+            f"(threshold {health_tol:.0e}); enlarge the register")
+    drift = float(np.max(np.abs(np.sqrt(np.sum(level_pops, axis=0)) - 1.0)))
+    if drift > 1e-9:
+        raise ValueError(f"state norm deviates from 1 by {drift:.2e} beyond 1e-9")
+    return out
 
 
 def propagate_spin_motion(initial: SpinMotionState, params: GateParams, t: float,
                           health_tol: float = 1e-6) -> SpinMotionState:
     """Evolve a spin-motion state for time t under the spin-dependent force.
 
-    In the gate-diagonal (x) spin basis the evolution is the identity on the
-    aligned states and ``exp(-i Phi) D(+/- alpha)`` on the anti-aligned
-    ones, with ``alpha`` and ``Phi`` the closed-form displacement and
-    trajectory phase. The truncation-health invariant (top-level population
-    below ``health_tol``) is enforced on input and output.
+    The truncation-health invariant (top-level population below
+    ``health_tol``) is enforced on input and output.
     """
     if initial.top_population > health_tol:
         raise TruncationError(
             f"initial top-level population {initial.top_population:.2e} "
             f"exceeds {health_tol:.0e}; enlarge the register")
-    alpha = displacement_alpha(t, params.delta, params.alpha_o)
-    phase = cmath.exp(-1j * trajectory_phase(t, params.delta, params.alpha_o))
-    d_plus = displacement_operator(alpha, initial.n_max + 1)
-    final = SpinMotionState(_apply_force(initial.amps, d_plus, phase))
-
-    if final.top_population > health_tol:
-        raise TruncationError(
-            f"propagation leaked {final.top_population:.2e} into the top "
-            f"Fock level (threshold {health_tol:.0e}); enlarge the register")
-    return final
+    return SpinMotionState(
+        _force(initial.amps, t, params.delta, params.alpha_o, health_tol))
 
 
 def fock_cutoff(alpha_abs: float, n_init: int = 0) -> int:
@@ -352,17 +312,12 @@ def parity_closed(t: float, delta: float, alpha_o: float,
     return 0.5 * (1.0 + math.exp(-2.0 * a2 * (2.0 * nbar + 1.0)))
 
 
-def propagated_signals(t: float, delta: float, alpha_o: float, n_init: int = 0,
-                       n_max: int | None = None) -> tuple[float, float]:
+def propagated_signals(t: float, delta: float, alpha_o: float,
+                       n_init: int = 0) -> tuple[float, float]:
     """(brightness, parity) from brute-force propagation of uu x |n_init>."""
-    eta_omega = alpha_o * delta
-    params = GateParams(eta_omega=eta_omega, delta=delta)
-    alpha_max = 2.0 * abs(alpha_o)
-    if n_max is None:
-        n_max = fock_cutoff(alpha_max, n_init)
-    state = spin_motion_product(basis_state("uu"), n_init, n_max)
-    final = propagate_spin_motion(state, params, t)
-    p = final.spin_populations()
+    start = spin_motion_product(basis_state("uu"), n_init,
+                                fock_cutoff(2.0 * abs(alpha_o), n_init))
+    p = np.sum(np.abs(_force(start.amps, t, delta, alpha_o)) ** 2, axis=1)
     return populations_to_brightness(p), populations_to_parity(p)
 
 
@@ -381,70 +336,50 @@ def thermal_levels(nbar: float, tail_tol: float = 1e-12) -> int:
 
 
 def thermal_signals(t: float, delta: float, alpha_o: float, nbar: float,
-                    n_max: int | None = None,
                     tail_tol: float = 1e-12) -> tuple[float, float]:
     """(brightness, parity) averaged over a thermal initial motional state.
 
-    Probability-weighted sum of per-Fock-level propagations, truncated where
-    the geometric occupation tail drops below ``tail_tol``. The displacement
-    operator is shared across levels (it only depends on t and delta).
+    Probability-weighted sum over the initial Fock levels, truncated where
+    the geometric occupation tail drops below ``tail_tol``. All levels are
+    propagated together, one column each, through one displacement operator
+    (it only depends on t and delta).
     """
     levels = thermal_levels(nbar, tail_tol)
-    weights = thermal_weights(nbar, levels)
-    if n_max is None:
-        n_max = fock_cutoff(2.0 * abs(alpha_o), levels - 1)
-    alpha = displacement_alpha(t, delta, alpha_o)
-    phase = cmath.exp(-1j * trajectory_phase(t, delta, alpha_o))
-    d_plus = displacement_operator(alpha, n_max + 1)
-
-    s_av = 0.0
-    parity = 0.0
-    for n, w in enumerate(weights):
-        start = spin_motion_product(basis_state("uu"), n, n_max)
-        final = SpinMotionState(_apply_force(start.amps, d_plus, phase))
-        if final.top_population > 1e-6:
-            raise TruncationError(
-                f"thermal level {n} leaked {final.top_population:.2e} into "
-                "the top Fock level; enlarge the register")
-        p = final.spin_populations()
-        s_av += w * populations_to_brightness(p)
-        parity += w * populations_to_parity(p)
-    return s_av, parity
+    dim = fock_cutoff(2.0 * abs(alpha_o), levels - 1) + 1
+    start = np.zeros((4, dim, levels), dtype=complex)
+    start[0, np.arange(levels), np.arange(levels)] = 1.0  # uu x |n>
+    final = _force(start, t, delta, alpha_o)
+    p = np.sum(np.abs(final) ** 2, axis=1) @ thermal_weights(nbar, levels)
+    return populations_to_brightness(p), populations_to_parity(p)
 
 
-def _curve(params: GateParams, grid, nbar, n_max, index) -> np.ndarray:
-    closed = (brightness_closed, parity_closed)[index]
-    out = []
+def signal_curves(params: GateParams, grid,
+                  nbar: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(brightness, parity) arrays over a grid of (t, delta) points.
+
+    For ``nbar = 0`` the closed forms are used; for ``nbar > 0`` each point
+    is one probability-weighted Fock propagation that yields both signals
+    (the closed forms with the (2 nbar + 1)-scaled exponent are candidates
+    checked against this route in the tests, not asserted here). ``nbar``
+    defaults to ``params.nbar``.
+    """
+    nbar = params.nbar if nbar is None else nbar
+    values = []
     for t, delta in grid:
         alpha_o = params.eta_omega / delta
         if nbar == 0:
-            out.append(closed(t, delta, alpha_o))
+            values.append((brightness_closed(t, delta, alpha_o),
+                           parity_closed(t, delta, alpha_o)))
         else:
-            dim = fock_cutoff(2.0 * abs(alpha_o), thermal_levels(nbar) - 1)
-            if n_max is not None:
-                dim = max(dim, n_max)
-            out.append(thermal_signals(t, delta, alpha_o, nbar, n_max=dim)[index])
-    return np.array(out)
+            values.append(thermal_signals(t, delta, alpha_o, nbar))
+    brightness, parity = np.array(values, dtype=float).reshape(-1, 2).T
+    return brightness, parity
 
 
-def brightness_curve(params: GateParams, grid, nbar: float | None = None,
-                     n_max: int | None = None) -> np.ndarray:
-    """Brightness over a grid of (t, delta) points.
-
-    For ``nbar = 0`` the closed form is used; for ``nbar > 0`` the values
-    come from probability-weighted Fock propagation (the closed form with
-    the (2 nbar + 1)-scaled exponent is a candidate checked against this
-    route in the tests, not asserted here). ``n_max`` is a lower bound on
-    the Fock register, enlarged automatically when the displacement needs
-    more room.
-    """
-    return _curve(params, grid, params.nbar if nbar is None else nbar, n_max, 0)
-
-
-def parity_curve(params: GateParams, grid, nbar: float | None = None,
-                 n_max: int | None = None) -> np.ndarray:
-    """Parity over a grid of (t, delta) points; dispatch as in brightness_curve."""
-    return _curve(params, grid, params.nbar if nbar is None else nbar, n_max, 1)
+def brightness_curve(params: GateParams, grid,
+                     nbar: float | None = None) -> np.ndarray:
+    """Brightness over a grid of (t, delta) points, as in :func:`signal_curves`."""
+    return signal_curves(params, grid, nbar)[0]
 
 
 def apply_contrast(values: np.ndarray, contrast: float = 1.0,

@@ -36,13 +36,6 @@ def multinomial(probabilities, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.multinomial(n, p / p.sum())
 
 
-def multinomial_sample(probabilities, n: int, seed) -> np.ndarray:
-    """Seeded multinomial counts; identical seed gives identical counts."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return multinomial(probabilities, n, np.random.default_rng(_seed_sequence(seed)))
-
-
 @dataclass(frozen=True)
 class BootstrapReport:
     """Summary of a resampled statistic distribution."""

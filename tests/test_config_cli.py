@@ -58,6 +58,21 @@ def test_config_validation():
         RunConfig(bootstrap_resamples=10)
 
 
+@pytest.mark.parametrize("line, argv", [
+    ("eta_omega_khz = nan", ["scan", "detuning"]),
+    ("scan_t_us = nan", ["scan", "detuning"]),
+    ("nbar = inf", ["scan", "time"]),
+    ("seed = -1", ["tomo", "--no-bootstrap"]),
+])
+def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, argv):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", cfg_path, "--out", out) == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         config.load_config(tmp_path / "nope.cfg")
@@ -106,11 +121,26 @@ def test_time_scan_parity_returns_at_loop_closures(tmp_path):
     assert data[1, 3] < 1.0
 
 
+def test_thermal_scan_propagates_each_point_once(monkeypatch):
+    calls = []
+    thermal_signals = gate.thermal_signals
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return thermal_signals(*args, **kwargs)
+
+    monkeypatch.setattr(gate, "thermal_signals", counting)
+    cfg = RunConfig(nbar=0.3, scan_points=7, scan_t_max_us=100.0)
+    rows = cli.run_scan(cfg, "time")
+    assert len(rows) == 7
+    assert len(calls) == 7
+
+
 def test_zero_point_scan_writes_header_only(tmp_path):
     cfg_path = tmp_path / "scan.cfg"
     cfg_path.write_text("scan_points = 0\n")
-    assert run_cli("scan", "parity", "--config", cfg_path, "--out", tmp_path) == 0
-    rows = (tmp_path / "scan_parity.csv").read_text().splitlines()
+    assert run_cli("scan", "time", "--config", cfg_path, "--out", tmp_path) == 0
+    rows = (tmp_path / "scan_time.csv").read_text().splitlines()
     assert rows == ["t_us,delta_kHz,s_av,parity"]
 
 

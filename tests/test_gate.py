@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.constants import hbar
 
 from mstomo import core, gate
 from conftest import ginibre_states
@@ -84,25 +83,6 @@ def test_far_detuned_phase_matches_effective_coupling():
             t = TWO_PI * m / delta
             phase = gate.trajectory_phase(t, delta, params.alpha_o)
             assert abs(phase - params.omega_tilde * t) < 1e-10
-
-
-def test_mode_params():
-    mode = gate.ModeParams(omega_c=TWO_PI * 2.05e6, mass=2 * 110.9 * 1.6605e-27,
-                           wavevector=4.0e7)
-    assert mode.omega_s == pytest.approx(math.sqrt(3) * mode.omega_c)
-    assert mode.z_o == pytest.approx(
-        math.sqrt(hbar / (2 * mode.mass * mode.omega_s)))
-    assert 0 < mode.lamb_dicke < 0.3
-    com = gate.ModeParams(omega_c=mode.omega_c, mass=mode.mass,
-                          wavevector=4.0e7, mode="com")
-    assert com.omega == com.omega_c
-    with pytest.raises(ValueError, match="Lamb-Dicke"):
-        gate.ModeParams(omega_c=TWO_PI * 2.05e6, mass=2 * 110.9 * 1.6605e-27,
-                        wavevector=1e9)
-    params = gate.GateParams(eta_omega=1.0, delta=2.0, mode=mode)
-    assert params.omega_d == pytest.approx(mode.omega + 2.0)
-    with pytest.raises(ValueError, match="mode"):
-        _ = gate.GateParams(eta_omega=1.0, delta=2.0).omega_d
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +278,7 @@ def test_brightness_curve_dispatch_handles_both_temperatures():
     assert warm[0] == pytest.approx(s_ref, abs=1e-12)
     assert cold[0] == pytest.approx(
         gate.brightness_closed(75e-6, params.delta, params.alpha_o), abs=1e-12)
-    assert gate.parity_curve(params, grid)[0] == pytest.approx(p_ref, abs=1e-12)
+    assert gate.signal_curves(params, grid)[1][0] == pytest.approx(p_ref, abs=1e-12)
 
 
 def test_contrast_and_offset_factors():
