@@ -1,0 +1,119 @@
+"""Golden outputs: every file written by a fixed set of CLI runs.
+
+``golden/outputs.json`` holds the SHA-256 digest, the size and the numbers
+of each file those runs write, with the Python, numpy and scipy versions
+that made it. A change that moves output bytes regenerates the fixture in
+the same commit and records, from this test's failure message, which files
+moved and by how much. Regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py --regen
+
+The bootstrap is left out: one bootstrapped ``tomo`` run costs about as much
+as all the runs below together.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from mstomo import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = Path(__file__).with_name("golden") / "outputs.json"
+CONFIGS = {name: str(ROOT / "configs" / f"{name}.cfg") for name in ("noisy", "ideal")}
+
+# (output directory, argv); paths are relative to the run directory, so the
+# "source" that analyze records does not depend on where the runs happen
+RUNS = [
+    *((name, ["tomo", "--config", cfg, "--state", state, "--no-bootstrap",
+              "--emit-intermediate"])
+      for name, cfg in CONFIGS.items() for state in ("uu", "ud")),
+    *((name, ["scan", kind, "--config", cfg])
+      for name, cfg in CONFIGS.items() for kind in ("detuning", "time")),
+    ("noisy", ["budget", "--config", CONFIGS["noisy"]]),
+    ("analyze", ["analyze", "--density", "noisy/tomo_uu_density.json",
+                 "--state", "uu"]),
+]
+
+# a number not glued to an identifier (the 1 of "det_fid_q1" is not one)
+_NUMBER = re.compile(rb"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def run_golden(workdir: Path) -> dict[str, bytes]:
+    """Run every golden CLI call inside ``workdir``; {relative path: bytes}."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for out, argv in RUNS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--out", out])
+            if code != 0:
+                raise RuntimeError(f"mstomo {' '.join(argv)} exited {code}")
+    finally:
+        os.chdir(cwd)
+    return {path.relative_to(workdir).as_posix(): path.read_bytes()
+            for path in sorted(workdir.rglob("*")) if path.is_file()}
+
+
+def describe(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data),
+            "numbers": [float(x) for x in _NUMBER.findall(data)]}
+
+
+def numeric_change(old: list[float], new: list[float]) -> str:
+    """The largest change between two files' numbers, in words."""
+    if len(old) != len(new):
+        return f"number count {len(old)} -> {len(new)}"
+    if not old:
+        return "no numbers"
+    diff = np.abs(np.array(new) - np.array(old))
+    k = int(np.argmax(diff))
+    return (f"largest numeric change {diff[k]:.3g} "
+            f"(number {k}: {old[k]!r} -> {new[k]!r})")
+
+
+def test_golden_outputs_are_unchanged(tmp_path):
+    fixture = json.loads(FIXTURE.read_text())
+    expected = fixture["files"]
+    actual = {name: describe(data) for name, data in run_golden(tmp_path).items()}
+
+    problems = [f"{name}: no longer written" for name in expected
+                if name not in actual]
+    problems += [f"{name}: not in the fixture" for name in actual
+                 if name not in expected]
+    for name in sorted(set(expected) & set(actual)):
+        old, new = expected[name], actual[name]
+        if old["sha256"] != new["sha256"]:
+            problems.append(f"{name}: {old['size']} -> {new['size']} bytes, "
+                            + numeric_change(old["numbers"], new["numbers"]))
+    assert not problems, (
+        f"golden outputs changed (fixture made with {fixture['versions']}, "
+        f"now {versions()}):\n" + "\n".join(problems))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(f"usage: {sys.argv[0]} --regen")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = run_golden(Path(tmp))
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(
+        {"versions": versions(),
+         "files": {name: describe(data) for name, data in files.items()}},
+        indent=1) + "\n")
+    print(f"wrote {FIXTURE} ({len(files)} files)")
