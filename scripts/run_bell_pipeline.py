@@ -3,7 +3,7 @@
 
 For each computational input the script applies the noisy entangling gate,
 simulates the nine-basis tomographic measurement, reconstructs the state by
-constrained maximum likelihood and prints fidelity, negativity, concurrence
+a constrained least-squares fit and prints fidelity, negativity, concurrence
 and entanglement of formation with bootstrap standard errors. All artifacts
 (counts, density matrices, reports) are written to the output directory.
 """
@@ -13,25 +13,21 @@ import dataclasses
 from pathlib import Path
 
 from mstomo import cli
-from mstomo.config import RunConfig, load_config
+from mstomo.config import load_config
+
+NOISY = Path(__file__).resolve().parents[1] / "configs" / "noisy.cfg"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out/bell"))
-    parser.add_argument("--config", type=Path, default=None)
+    parser.add_argument("--config", type=Path, default=NOISY)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--resamples", type=int, default=200)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    if args.config is not None:
-        base = load_config(args.config)
-    else:
-        base = RunConfig(p_sc=0.3, kappa=0.27, f_prep=0.85,
-                         det_fid_q1=0.97, det_fid_q2=0.97,
-                         phi_e_rad=-1.1, phi_o_rad=0.43)
-    base = dataclasses.replace(base, seed=args.seed,
+    base = dataclasses.replace(load_config(args.config), seed=args.seed,
                                bootstrap_resamples=args.resamples)
 
     print(f"{'input':<7}{'F':>9}{'+/-':>8}{'N':>9}{'C':>9}{'E_F':>9}{'phi':>9}")

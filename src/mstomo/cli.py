@@ -238,7 +238,10 @@ def analyze_density_file(path: Path, label: str) -> MeasuresReport:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read density JSON {path}: {exc}") from exc
-    rho = density_from_dict(doc)
+    try:
+        rho = density_from_dict(doc)
+    except ValueError as exc:
+        raise ConfigError(f"bad density JSON {path}: {exc}") from exc
     check = validate_density(rho, tol=1e-6, psd_tol=1e-6)
     if not check.ok:
         raise ValueError(

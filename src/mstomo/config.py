@@ -18,6 +18,11 @@ from .tomography import DetectionModel
 KHZ = 2.0 * math.pi * 1e3  # kHz (ordinary) -> rad/s
 US = 1e-6  # microseconds -> seconds
 
+# upper bounds of the keys whose size drives memory: a thermal scan at
+# nbar = 10 propagates 290 Fock levels on a register of up to ~815 levels
+_MAX_NBAR = 10.0
+_MAX_SCAN_POINTS = 10_000
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or parameter values."""
@@ -91,10 +96,10 @@ class RunConfig:
             raise ConfigError("shots and control_shots must be positive")
         if self.bootstrap_resamples < 100:
             raise ConfigError("bootstrap_resamples must be at least 100")
-        if self.scan_points < 0:
-            raise ConfigError("scan_points must be non-negative")
-        if self.nbar < 0:
-            raise ConfigError("nbar must be non-negative")
+        if not 0 <= self.scan_points <= _MAX_SCAN_POINTS:
+            raise ConfigError(f"scan_points must be in [0, {_MAX_SCAN_POINTS}]")
+        if not 0 <= self.nbar <= _MAX_NBAR:
+            raise ConfigError(f"nbar must be in [0, {_MAX_NBAR:g}]")
 
     def gate_params(self) -> GateParams:
         """GateParams in SI units; detuning defaults to the operating point."""

@@ -30,6 +30,12 @@ PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # all 16 products sigma_i x sigma_j, indexed [i][j]
 PAULI_PRODUCTS = tuple(tuple(kron(a, b) for b in PAULIS) for a in PAULIS)
 
+_HERMITICITY_TOL = 1e-10  # relative defect herm_eig accepts
+
+
+class ReconstructionError(RuntimeError):
+    """Raised when inversion or fitting cannot proceed (bad inputs)."""
+
 
 def basis_state(label: str) -> np.ndarray:
     """Computational basis ket for a label in ``uu, ud, du, dd``."""
@@ -46,15 +52,13 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def herm_eig(h: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : array
-        Square Hermitian matrix, dimension at most 128.
-    tol : float
-        Relative Hermiticity tolerance.
+        Square Hermitian matrix, within a relative defect of 1e-10.
 
     Returns
     -------
@@ -65,16 +69,14 @@ def herm_eig(h: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     Raises
     ------
     ValueError
-        If the input is not square, larger than 128x128, or fails the
-        Hermiticity check (the defect norm is included in the message).
+        If the input is not square or fails the Hermiticity check (the
+        defect norm is included in the message).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if h.shape[0] > 128:
-        raise ValueError(f"dimension {h.shape[0]} exceeds the supported 128")
     defect = np.linalg.norm(h - h.conj().T)
-    if defect > tol * max(1.0, np.linalg.norm(h)):
+    if defect > _HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
         raise ValueError(f"matrix is not Hermitian: ||H - H^dag|| = {defect:.3e}")
     values, vectors = np.linalg.eigh(h)
     return values, vectors
@@ -100,21 +102,14 @@ def pauli_reconstruct(r: np.ndarray) -> np.ndarray:
     return rho / 4.0
 
 
-def partial_transpose(rho: np.ndarray, subsystem: str = "first") -> np.ndarray:
-    """Transpose the indices of one qubit of a two-qubit operator.
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the indices of the first qubit of a two-qubit operator.
 
-    ``subsystem`` selects which qubit is transposed (``"first"`` or
-    ``"second"``). The map is an involution and preserves Hermiticity and
-    trace; positivity may be lost, which is the point of the PPT test.
+    The map is an involution and preserves Hermiticity and trace; positivity
+    may be lost, which is the point of the PPT test.
     """
     rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if subsystem == "first":
-        axes = (2, 1, 0, 3)
-    elif subsystem == "second":
-        axes = (0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return rho.transpose(axes).reshape(4, 4)
+    return rho.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
 def single_qubit_rotation(theta: float, phi: float) -> np.ndarray:
@@ -179,10 +174,29 @@ def density_to_dict(rho: np.ndarray) -> dict:
 
 
 def density_from_dict(doc: dict) -> np.ndarray:
-    """Rebuild a density matrix from :func:`density_to_dict` output."""
+    """Rebuild a density matrix from :func:`density_to_dict` output.
+
+    Raises ValueError, naming the field, when ``dim`` or ``basis_order`` is
+    unsupported or when ``re`` or ``im`` is missing, not 4x4 or not finite.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("dim") != 4:
         raise ValueError(f"expected dim 4, got {doc.get('dim')!r}")
     order = doc.get("basis_order", BASIS_ORDER)
     if order != BASIS_ORDER:
         raise ValueError(f"unsupported basis order {order!r}")
-    return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    parts = []
+    for key in ("re", "im"):
+        if key not in doc:
+            raise ValueError(f"missing field {key!r}")
+        try:
+            part = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {key!r} is not a numeric matrix") from exc
+        if part.shape != (4, 4):
+            raise ValueError(f"field {key!r} has shape {part.shape}, expected (4, 4)")
+        if not np.isfinite(part).all():
+            raise ValueError(f"field {key!r} has non-finite entries")
+        parts.append(part)
+    return parts[0] + 1j * parts[1]

@@ -5,8 +5,8 @@ The bichromatic spin-dependent force is represented two independent ways:
 * closed forms for the displacement ``alpha(t, delta)``, the accumulated
   trajectory phase ``Phi(t, delta)`` and the brightness/parity signals;
 * a brute-force propagator on a two-qubit spin register tensored with a
-  truncated Fock register, built from a matrix-exponential displacement
-  operator.
+  truncated Fock register, built from a displacement operator that is
+  exponentiated through the eigendecomposition of its Hermitian generator.
 
 The two routes are kept strictly independent so each can serve as the
 oracle for the other. Scans (:func:`signal_curves`) use the closed forms
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import basis_state, kron, projector
 
@@ -34,6 +33,9 @@ TWO_PI = 2.0 * math.pi
 # bases; self-inverse, per qubit
 _HX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _HX2 = kron(_HX, _HX)
+
+_HEALTH_TOL = 1e-6  # largest population allowed in the top Fock level
+_TAIL_TOL = 1e-12  # largest thermal occupation left out of a thermal average
 
 
 class TruncationError(RuntimeError):
@@ -76,11 +78,6 @@ class GateParams:
         """Displacement scale eta_omega / delta."""
         return self.eta_omega / self.delta
 
-    @property
-    def omega_tilde(self) -> float:
-        """Far-detuned effective two-qubit coupling (eta_omega)^2 / delta."""
-        return self.eta_omega ** 2 / self.delta
-
 
 def displacement_alpha(t: float, delta: float, alpha_o: float) -> complex:
     """Phase-space displacement alpha_o (1 - exp(-i delta t)) at time t."""
@@ -90,11 +87,6 @@ def displacement_alpha(t: float, delta: float, alpha_o: float) -> complex:
 def trajectory_phase(t: float, delta: float, alpha_o: float) -> float:
     """Phase alpha_o^2 (delta t - sin delta t) accumulated along the trajectory."""
     return alpha_o ** 2 * (delta * t - math.sin(delta * t))
-
-
-def geometric_phase(m: int, alpha_o: float) -> float:
-    """Phase 2 pi m alpha_o^2 left after m closed loops."""
-    return TWO_PI * m * alpha_o ** 2
 
 
 def gate_operating_point(eta_omega: float, m: int = 1, phi_e: float = 0.0,
@@ -159,23 +151,16 @@ def destroy(dim: int) -> np.ndarray:
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated register.
 
-    The generator is exactly anti-Hermitian in the truncated space, so the
-    result is unitary; truncation only limits how faithfully it represents
-    the infinite-dimensional displacement (guarded by the health check).
+    With ``H = i (alpha a^dag - alpha* a)``, exactly Hermitian in the
+    truncated space, ``D = exp(-i H) = V diag(e^{-i lambda}) V^dag`` from the
+    eigendecomposition ``H = V diag(lambda) V^dag``, so the result is
+    unitary; truncation only limits how faithfully it represents the
+    infinite-dimensional displacement (guarded by the health check).
     """
     a = destroy(dim)
-    return expm(alpha * a.conj().T - np.conjugate(alpha) * a)
-
-
-def coherent_state(alpha: complex, dim: int) -> np.ndarray:
-    """Amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) of a coherent state."""
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    return np.exp(-abs(alpha) ** 2 / 2.0 + n * cmath.log(alpha) - log_fact / 2.0)
+    h = 1j * (alpha * a.conj().T - np.conjugate(alpha) * a)
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(-1j * values)) @ vectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -196,10 +181,6 @@ class SpinMotionState:
         norm = self.norm
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
-
-    @property
-    def n_max(self) -> int:
-        return self.amps.shape[1] - 1
 
     @property
     def norm(self) -> float:
@@ -224,8 +205,7 @@ def spin_motion_product(spin: np.ndarray, n: int, n_max: int) -> SpinMotionState
     return SpinMotionState(amps)
 
 
-def _force(amps: np.ndarray, t: float, delta: float, alpha_o: float,
-           health_tol: float = 1e-6) -> np.ndarray:
+def _force(amps: np.ndarray, t: float, delta: float, alpha_o: float) -> np.ndarray:
     """Evolve amplitudes for time t under the spin-dependent force.
 
     ``amps`` has shape ``(4, dim)`` or ``(4, dim, k)``: computational spin
@@ -234,7 +214,7 @@ def _force(amps: np.ndarray, t: float, delta: float, alpha_o: float,
     is the identity on the aligned states and ``exp(-i Phi) D(+/- alpha)`` on
     the anti-aligned ones, with ``alpha`` and ``Phi`` the closed-form
     displacement and trajectory phase. Raises :class:`TruncationError` when
-    any column leaves more than ``health_tol`` in the top Fock level, and
+    any column leaves more than ``_HEALTH_TOL`` in the top Fock level, and
     ``ValueError`` when a column's norm drifts from 1 beyond 1e-9.
     """
     alpha = displacement_alpha(t, delta, alpha_o)
@@ -248,29 +228,28 @@ def _force(amps: np.ndarray, t: float, delta: float, alpha_o: float,
 
     level_pops = np.sum(np.abs(out) ** 2, axis=0)
     top = float(np.max(level_pops[-1]))
-    if top > health_tol:
+    if top > _HEALTH_TOL:
         raise TruncationError(
             f"propagation leaked {top:.2e} into the top Fock level "
-            f"(threshold {health_tol:.0e}); enlarge the register")
+            f"(threshold {_HEALTH_TOL:.0e}); enlarge the register")
     drift = float(np.max(np.abs(np.sqrt(np.sum(level_pops, axis=0)) - 1.0)))
     if drift > 1e-9:
         raise ValueError(f"state norm deviates from 1 by {drift:.2e} beyond 1e-9")
     return out
 
 
-def propagate_spin_motion(initial: SpinMotionState, params: GateParams, t: float,
-                          health_tol: float = 1e-6) -> SpinMotionState:
+def propagate_spin_motion(initial: SpinMotionState, params: GateParams,
+                          t: float) -> SpinMotionState:
     """Evolve a spin-motion state for time t under the spin-dependent force.
 
     The truncation-health invariant (top-level population below
-    ``health_tol``) is enforced on input and output.
+    ``_HEALTH_TOL``) is enforced on input and output.
     """
-    if initial.top_population > health_tol:
+    if initial.top_population > _HEALTH_TOL:
         raise TruncationError(
             f"initial top-level population {initial.top_population:.2e} "
-            f"exceeds {health_tol:.0e}; enlarge the register")
-    return SpinMotionState(
-        _force(initial.amps, t, params.delta, params.alpha_o, health_tol))
+            f"exceeds {_HEALTH_TOL:.0e}; enlarge the register")
+    return SpinMotionState(_force(initial.amps, t, params.delta, params.alpha_o))
 
 
 def fock_cutoff(alpha_abs: float, n_init: int = 0) -> int:
@@ -327,24 +306,24 @@ def thermal_weights(nbar: float, n_levels: int) -> np.ndarray:
     return nbar ** n / (1.0 + nbar) ** (n + 1.0)
 
 
-def thermal_levels(nbar: float, tail_tol: float = 1e-12) -> int:
-    """Number of Fock levels so the neglected geometric tail is below tail_tol."""
+def thermal_levels(nbar: float) -> int:
+    """Number of Fock levels so the neglected geometric tail is below _TAIL_TOL."""
     if nbar == 0:
         return 1
     z = nbar / (1.0 + nbar)
-    return max(1, math.ceil(math.log(tail_tol) / math.log(z)))
+    return max(1, math.ceil(math.log(_TAIL_TOL) / math.log(z)))
 
 
-def thermal_signals(t: float, delta: float, alpha_o: float, nbar: float,
-                    tail_tol: float = 1e-12) -> tuple[float, float]:
+def thermal_signals(t: float, delta: float, alpha_o: float,
+                    nbar: float) -> tuple[float, float]:
     """(brightness, parity) averaged over a thermal initial motional state.
 
     Probability-weighted sum over the initial Fock levels, truncated where
-    the geometric occupation tail drops below ``tail_tol``. All levels are
+    the geometric occupation tail drops below ``_TAIL_TOL``. All levels are
     propagated together, one column each, through one displacement operator
     (it only depends on t and delta).
     """
-    levels = thermal_levels(nbar, tail_tol)
+    levels = thermal_levels(nbar)
     dim = fock_cutoff(2.0 * abs(alpha_o), levels - 1) + 1
     start = np.zeros((4, dim, levels), dtype=complex)
     start[0, np.arange(levels), np.arange(levels)] = 1.0  # uu x |n>

@@ -24,6 +24,7 @@ _COHERENCE_BLOCK = {"even": (0, 3), "odd": (1, 2)}
 _PARITY_CLASS = {"uu": "even", "dd": "even", "ud": "odd", "du": "odd"}
 
 _SIGMA_YY = PAULI_PRODUCTS[2][2]
+_COHERENCE_TOL = 1e-12  # below it the target phase is undefined
 
 
 def parity_class(input_label: str) -> str:
@@ -49,8 +50,7 @@ class PhaseFit:
     degenerate: bool = False
 
 
-def fit_target_phase(rho: np.ndarray, input_label: str,
-                     coherence_tol: float = 1e-12) -> PhaseFit:
+def fit_target_phase(rho: np.ndarray, input_label: str) -> PhaseFit:
     """Maximize the fidelity to the Bell-like family of an input label.
 
     The family fixes two populations and one coherence, so the optimal
@@ -64,7 +64,7 @@ def fit_target_phase(rho: np.ndarray, input_label: str,
     coherence = rho[i, j]
     populations = rho[i, i].real + rho[j, j].real
     best = populations / 2.0 + abs(coherence)
-    if abs(coherence) < coherence_tol:
+    if abs(coherence) < _COHERENCE_TOL:
         return PhaseFit(0.0, best, degenerate=True)
     # uu/ud targets carry +phi on the coherence, dd/du targets -phi
     if input_label in ("uu", "ud"):
@@ -121,7 +121,7 @@ def negativity(rho: np.ndarray) -> tuple[float, np.ndarray]:
     N = 2 max(0, -lambda_min) of the partially transposed state; positive
     exactly when the state is entangled (two qubits).
     """
-    spectrum, _ = herm_eig(partial_transpose(rho, "first"))
+    spectrum, _ = herm_eig(partial_transpose(rho))
     return 2.0 * max(0.0, -float(spectrum[0])), spectrum
 
 

@@ -9,9 +9,15 @@ in parallel.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import ReconstructionError
+
+# what a resample's statistic may raise on unlucky data; anything else is a bug
+_RESAMPLE_FAILURES = (ValueError, np.linalg.LinAlgError, ReconstructionError)
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -73,8 +79,11 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
     Resampling is stratified: each record's ``shots`` outcomes are redrawn
     with replacement from that record's empirical outcome distribution, so
     the per-setting structure is preserved. ``statistic`` maps a list of
-    records to a float; resamples where it raises are counted and excluded,
-    and more than 5% failures invalidates the report.
+    records to a float; resamples where it raises ``ValueError``,
+    ``LinAlgError`` or ``ReconstructionError`` are counted and excluded, and
+    more than 5% failures invalidates the report. Any other exception
+    propagates. Fewer than 2 successful resamples raise ``ValueError`` with
+    the failures counted by exception type.
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
@@ -82,7 +91,7 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
     estimate = float(statistic(records))
 
     values = []
-    failures = 0
+    failures = Counter()
     for rng in substreams(seed, n_resamples):
         resampled = [
             dataclasses.replace(
@@ -91,9 +100,14 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         ]
         try:
             values.append(float(statistic(resampled)))
-        except Exception:
-            failures += 1
+        except _RESAMPLE_FAILURES as exc:
+            failures[type(exc).__name__] += 1
+    if len(values) < 2:
+        counts = ", ".join(f"{n} {name}" for name, n in sorted(failures.items()))
+        raise ValueError(f"only {len(values)} of {n_resamples} bootstrap "
+                         f"resamples succeeded; failures: {counts}")
     values = np.array(values)
+    n_failures = failures.total()
 
     ci_low, ci_high = np.percentile(values, [2.5, 97.5])
     return BootstrapReport(
@@ -103,7 +117,7 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         std_error=float(np.std(values, ddof=1)),
         ci_low=float(ci_low),
         ci_high=float(ci_high),
-        n_failures=failures,
-        valid=failures <= 0.05 * n_resamples,
+        n_failures=n_failures,
+        valid=n_failures <= 0.05 * n_resamples,
         samples=tuple(float(v) for v in values) if keep_samples else None,
     )

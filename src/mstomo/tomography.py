@@ -5,8 +5,8 @@ Measurements run in the nine two-qubit Pauli bases ``{x, y, z} x {x, y, z}``
 flavours: fast linear inversion of the Pauli coefficients, which can leave
 the estimate unphysical at finite statistics, and a constrained fit through
 a triangular-factor parameterization ``rho = T^dag T / Tr(T^dag T)`` that is
-Hermitian, normalized and positive semidefinite by construction, minimized
-with a simplex search under multinomial weighting.
+Hermitian, normalized and positive semidefinite by construction. The fit
+minimizes a Pearson-weighted least-squares objective with a simplex search.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import sampling
-from .core import (SIGMA_0, kron, pauli_expansion, pauli_reconstruct,
-                   single_qubit_rotation)
+from .core import (SIGMA_0, ReconstructionError, kron, pauli_expansion,
+                   pauli_reconstruct, single_qubit_rotation)
 
 BASES = ("x", "y", "z")
 SETTINGS = tuple((b1, b2) for b1 in BASES for b2 in BASES)
@@ -29,12 +29,8 @@ SETTINGS = tuple((b1, b2) for b1 in BASES for b2 in BASES)
 _DIAG = tuple(range(4))
 _LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
 
-_W_FLOOR = 0.5  # count floor in the multinomial weights
+_W_FLOOR = 0.5  # floor of the expected counts in the Pearson weights
 _RESTART_SEED = 20250813  # fixed stream for restart perturbations
-
-
-class ReconstructionError(RuntimeError):
-    """Raised when inversion or fitting cannot proceed (bad inputs)."""
 
 
 def setting_rotations(setting: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
@@ -60,17 +56,14 @@ def setting_rotations(setting: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class DetectionModel:
-    """Per-qubit readout confusion matrices.
+    """Per-qubit readout confusion matrices of resolved per-ion detection.
 
     ``c1[reported, true]`` and ``c2`` are column-stochastic 2x2 matrices
-    (columns: true up, true down). ``kind`` is ``"camera"`` for resolved
-    per-ion readout or ``"pmt"`` for the aggregated three-class signal
-    (uu, one-bright, dd).
+    (columns: true up, true down).
     """
 
     c1: np.ndarray
     c2: np.ndarray
-    kind: str = "camera"
 
     def __post_init__(self):
         for name in ("c1", "c2"):
@@ -80,21 +73,19 @@ class DetectionModel:
                 raise ValueError(f"{name} must be a 2x2 matrix of probabilities")
             if np.abs(c.sum(axis=0) - 1.0).max() > 1e-9:
                 raise ValueError(f"{name} columns must sum to 1")
-        if self.kind not in ("camera", "pmt"):
-            raise ValueError(f"kind must be 'camera' or 'pmt', got {self.kind!r}")
 
     @classmethod
-    def perfect(cls, kind: str = "camera") -> "DetectionModel":
-        return cls(np.eye(2), np.eye(2), kind)
+    def perfect(cls) -> "DetectionModel":
+        return cls(np.eye(2), np.eye(2))
 
     @classmethod
-    def symmetric(cls, fidelity: float, fidelity2: float | None = None,
-                  kind: str = "camera") -> "DetectionModel":
+    def symmetric(cls, fidelity: float,
+                  fidelity2: float | None = None) -> "DetectionModel":
         """Symmetric per-qubit crossover, e.g. 0.97 camera fidelity per ion."""
         f2 = fidelity if fidelity2 is None else fidelity2
         c1 = np.array([[fidelity, 1 - fidelity], [1 - fidelity, fidelity]])
         c2 = np.array([[f2, 1 - f2], [1 - f2, f2]])
-        return cls(c1, c2, kind)
+        return cls(c1, c2)
 
     def joint(self) -> np.ndarray:
         """4x4 confusion on joint outcomes (uu, ud, du, dd)."""
@@ -103,19 +94,12 @@ class DetectionModel:
 
 def outcome_probabilities(rho: np.ndarray, setting: tuple[str, str],
                           detection: DetectionModel) -> np.ndarray:
-    """Outcome probabilities of one measurement setting, detection included.
-
-    Camera detection returns 4 probabilities ordered (uu, ud, du, dd); PMT
-    detection returns the 3 aggregated classes (uu, one bright, dd).
-    """
+    """Outcome probabilities (uu, ud, du, dd) of one setting, detection included."""
     r1, r2 = setting_rotations(setting)
     u = kron(r1, r2)
     rotated = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     p = np.clip(np.diag(rotated).real, 0.0, None)
-    p = detection.joint() @ p
-    if detection.kind == "pmt":
-        return np.array([p[0], p[1] + p[2], p[3]])
-    return p
+    return detection.joint() @ p
 
 
 @dataclass(frozen=True)
@@ -152,13 +136,10 @@ def simulate_counts(rho: np.ndarray, settings, shots: int,
 
     Deterministic for a fixed ``seed`` (int or ``numpy.random.SeedSequence``):
     every setting draws from its own derived substream, so the records do
-    not depend on evaluation order. PMT detection has no four-outcome record
-    and is rejected here.
+    not depend on evaluation order.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if detection.kind != "camera":
-        raise ValueError("counts records need per-ion (camera) detection")
     streams = sampling.substreams(seed, len(settings))
     records = []
     for setting, rng in zip(settings, streams):
@@ -232,7 +213,7 @@ def linear_inversion(records, detection: DetectionModel) -> LinearInversionResul
 
 
 # ---------------------------------------------------------------------------
-# constrained maximum-likelihood fit
+# constrained Pearson-weighted least-squares fit
 # ---------------------------------------------------------------------------
 
 def _t_matrix(params: np.ndarray) -> np.ndarray:
@@ -300,13 +281,13 @@ def _stack_model(records, detection: DetectionModel):
 
 
 def mle_fit(records, detection: DetectionModel,
-            initial_guess: np.ndarray | None = None, restarts: int = 3,
-            w_floor: float = _W_FLOOR) -> TomographyResult:
+            initial_guess: np.ndarray | None = None,
+            restarts: int = 3) -> TomographyResult:
     """Fit a physical density matrix to measurement records.
 
-    Minimizes the multinomially weighted squared residual
+    Minimizes the Pearson-weighted least-squares objective
 
-        sum_k (n_k - N p_k)^2 / max(N p_k, w_floor)
+        sum_k (n_k - N p_k)^2 / max(N p_k, _W_FLOOR)
 
     over the triangular-factor parameterization using Nelder-Mead simplex
     search. The starting point is the PSD-projected linear inversion (or
@@ -323,7 +304,7 @@ def mle_fit(records, detection: DetectionModel,
         p = (model @ _rho_from_params(params).reshape(16)).real
         expected = shots * p
         return float(np.sum((counts - expected) ** 2
-                            / np.maximum(expected, w_floor)))
+                            / np.maximum(expected, _W_FLOOR)))
 
     if initial_guess is None:
         initial_guess = linear_inversion(records, detection).rho

@@ -63,6 +63,8 @@ def test_config_validation():
     ("scan_t_us = nan", ["scan", "detuning"]),
     ("nbar = inf", ["scan", "time"]),
     ("seed = -1", ["tomo", "--no-bootstrap"]),
+    ("nbar = 10.5", ["scan", "time"]),
+    ("scan_points = 10001", ["scan", "detuning"]),
 ])
 def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, argv):
     cfg_path = tmp_path / "bad.cfg"
@@ -267,6 +269,20 @@ def test_analyze_rejects_unphysical_density(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(core.density_to_dict(rho)))
     assert run_cli("analyze", "--density", path, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("re", {"dim": 4, "im": np.zeros((4, 4)).tolist()}),
+    ("re", {**core.density_to_dict(np.eye(4) / 4), "re": np.eye(2).tolist()}),
+    ("im", {**core.density_to_dict(np.eye(4) / 4),
+            "im": np.full((4, 4), np.nan).tolist()}),
+], ids=["missing", "2x2", "nan"])
+def test_analyze_rejects_malformed_density(tmp_path, capsys, field, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("analyze", "--density", path, "--out", tmp_path) == 1
+    assert repr(field) in capsys.readouterr().err
+    assert not (tmp_path / "measures.json").exists()
 
 
 def test_analyze_rejects_missing_file(tmp_path):

@@ -1,8 +1,14 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from mstomo import core, gate
 from conftest import ginibre_states
@@ -12,6 +18,27 @@ TWO_PI = 2.0 * math.pi
 
 def operating_point(khz=6.4, m=1, **kwargs):
     return gate.gate_operating_point(TWO_PI * khz * 1e3, m, **kwargs)
+
+
+def coherent_state(alpha, dim):
+    """Amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) of a coherent state."""
+    if alpha == 0:
+        amps = np.zeros(dim, dtype=complex)
+        amps[0] = 1.0
+        return amps
+    n = np.arange(dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    return np.exp(-abs(alpha) ** 2 / 2.0 + n * cmath.log(alpha) - log_fact / 2.0)
+
+
+def test_gate_imports_no_scipy():
+    paths = [str(Path(gate.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = ("import sys, mstomo.gate; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +64,9 @@ def test_trajectory_phase_values():
     delta = TWO_PI * 12.8e3
     assert gate.trajectory_phase(TWO_PI / delta, delta, 0.5) == pytest.approx(
         math.pi / 2, abs=1e-12)
-    assert gate.geometric_phase(2, 0.5) == pytest.approx(math.pi, abs=1e-12)
+    # m closed loops leave 2 pi m alpha_o^2
+    assert gate.trajectory_phase(2 * TWO_PI / delta, delta, 0.5) == pytest.approx(
+        math.pi, abs=1e-12)
 
 
 def test_operating_point_numbers():
@@ -74,7 +103,8 @@ def test_gate_params_validation():
 
 
 def test_far_detuned_phase_matches_effective_coupling():
-    # closed-loop phase equals omega_tilde * t deep in the far-detuned regime
+    # closed-loop phase equals the effective coupling (eta_omega)^2 / delta
+    # times t deep in the far-detuned regime
     for alpha_o in (0.05, 0.02, 0.01):
         eta_omega = TWO_PI * 6.4e3
         delta = eta_omega / alpha_o
@@ -82,7 +112,7 @@ def test_far_detuned_phase_matches_effective_coupling():
         for m in (1, 3):
             t = TWO_PI * m / delta
             phase = gate.trajectory_phase(t, delta, params.alpha_o)
-            assert abs(phase - params.omega_tilde * t) < 1e-10
+            assert abs(phase - eta_omega ** 2 / delta * t) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +157,14 @@ def test_ideal_gate_on_density_matrix(rng):
 # spin-motion propagation
 # ---------------------------------------------------------------------------
 
+def test_displacement_operator_matches_matrix_exponential(rng):
+    for dim in (2, 40, 120):
+        a = gate.destroy(dim)
+        for alpha in (0.0, 1.3 - 0.4j, complex(*rng.uniform(-3, 3, 2))):
+            expected = expm(alpha * a.conj().T - np.conjugate(alpha) * a)
+            assert np.abs(gate.displacement_operator(alpha, dim) - expected).max() < 1e-12
+
+
 def test_propagation_at_zero_time_is_identity():
     params = operating_point()
     state = gate.spin_motion_product(core.basis_state("ud"), 2, 20)
@@ -164,7 +202,7 @@ def test_propagation_displaces_antialigned_x_states():
     t = math.pi / params.delta
     out = gate.propagate_spin_motion(state, params, t)
     phase = np.exp(-1j * gate.trajectory_phase(t, params.delta, params.alpha_o))
-    expected = np.outer(spin_x, phase * gate.coherent_state(2 * params.alpha_o, 31))
+    expected = np.outer(spin_x, phase * coherent_state(2 * params.alpha_o, 31))
     assert np.abs(out.amps - expected).max() < 1e-10
 
 

@@ -115,12 +115,40 @@ def test_bootstrap_counts_statistic_failures():
 
     def flaky(resampled):
         if resampled[0].counts[0] % 2:
-            raise RuntimeError("odd count")
+            raise ValueError("odd count")
         return resampled[0].frequencies[0]
 
     report = sampling.bootstrap(records, 200, flaky, seed=7)
     assert report.n_failures > 10
     assert not report.valid
+
+
+def test_bootstrap_propagates_programming_errors():
+    records = [make_record([100, 100, 0, 0])]
+
+    calls = []
+
+    def buggy(resampled):  # fine on the data, a TypeError on every resample
+        calls.append(resampled)
+        return resampled[0].frequencies[0] + ("1" if len(calls) > 1 else 0)
+
+    with pytest.raises(TypeError):
+        sampling.bootstrap(records, 100, buggy, seed=7)
+
+
+def test_bootstrap_needs_two_successful_resamples():
+    records = [make_record([100, 100, 0, 0])]
+
+    calls = []
+
+    def failing(resampled):  # fine on the data, fails on every resample
+        calls.append(resampled)
+        if len(calls) > 1:
+            raise tomo.ReconstructionError("no fit")
+        return 0.5
+
+    with pytest.raises(ValueError, match="0 of 100 .*100 ReconstructionError"):
+        sampling.bootstrap(records, 100, failing, seed=7)
 
 
 def test_bootstrap_requires_enough_resamples():

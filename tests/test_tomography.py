@@ -73,20 +73,9 @@ def test_outcome_probabilities_maximally_mixed(rng):
         assert (p >= 0).all() and abs(p.sum() - 1) < 1e-12
 
 
-def test_pmt_detection_aggregates_middle_classes():
-    pmt = tomo.DetectionModel.symmetric(0.97, kind="pmt")
-    rho = core.projector(core.basis_state("ud"))
-    p = tomo.outcome_probabilities(rho, ("z", "z"), pmt)
-    assert p.shape == (3,)
-    assert p[1] == pytest.approx(0.97 ** 2 + 0.03 ** 2, abs=1e-12)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_detection_model_validation():
     with pytest.raises(ValueError, match="sum"):
         tomo.DetectionModel(np.array([[0.9, 0.0], [0.0, 0.9]]), np.eye(2))
-    with pytest.raises(ValueError, match="kind"):
-        tomo.DetectionModel(np.eye(2), np.eye(2), kind="ccd")
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +103,7 @@ def test_simulate_counts_seed_reproducibility():
         assert np.array_equal(ra.counts, rb.counts)
 
 
-def test_simulate_counts_rejects_pmt_and_bad_shots():
-    pmt = tomo.DetectionModel.perfect(kind="pmt")
-    with pytest.raises(ValueError, match="camera"):
-        tomo.simulate_counts(bell_truth(), tomo.SETTINGS, 200, pmt, 0)
+def test_simulate_counts_rejects_bad_shots():
     with pytest.raises(ValueError, match="shots"):
         tomo.simulate_counts(bell_truth(), tomo.SETTINGS, 0, PERFECT, 0)
 
