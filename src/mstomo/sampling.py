@@ -103,7 +103,7 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         except _RESAMPLE_FAILURES as exc:
             failures[type(exc).__name__] += 1
     if len(values) < 2:
-        counts = ", ".join(f"{n} {name}" for name, n in sorted(failures.items()))
+        counts = ", ".join(f"{n} {kind}" for kind, n in sorted(failures.items()))
         raise ValueError(f"only {len(values)} of {n_resamples} bootstrap "
                          f"resamples succeeded; failures: {counts}")
     values = np.array(values)
