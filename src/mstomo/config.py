@@ -18,10 +18,16 @@ from .tomography import DetectionModel
 KHZ = 2.0 * math.pi * 1e3  # kHz (ordinary) -> rad/s
 US = 1e-6  # microseconds -> seconds
 
-# upper bounds of the keys whose size drives memory: a thermal scan at
-# nbar = 10 propagates 290 Fock levels on a register of up to ~815 levels
+# upper bounds of the keys whose size drives memory or time: a thermal scan
+# at nbar = 10 propagates 290 Fock levels on a register of up to ~815 levels
 _MAX_NBAR = 10.0
 _MAX_SCAN_POINTS = 10_000
+# the bootstrap builds every resample's generator up front (about 1 kB each)
+# and refits each in 0.1-0.4 s: 10,000 resamples take 10 MB and up to an hour
+_MAX_BOOTSTRAP_RESAMPLES = 10_000
+# a tomo run takes the same time from 200 to 1e12 shots per setting; at 1e13
+# the fit needs 2-5x the iterations, so the bound keeps a 1000x margin
+_MAX_SHOTS = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -92,10 +98,12 @@ class RunConfig:
         for name in ("det_fid_q1", "det_fid_q2"):
             if not 0.5 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must be in [0.5, 1]")
-        if self.shots <= 0 or self.control_shots <= 0:
-            raise ConfigError("shots and control_shots must be positive")
-        if self.bootstrap_resamples < 100:
-            raise ConfigError("bootstrap_resamples must be at least 100")
+        for name in ("shots", "control_shots"):
+            if not 1 <= getattr(self, name) <= _MAX_SHOTS:
+                raise ConfigError(f"{name} must be in [1, {_MAX_SHOTS}]")
+        if not 100 <= self.bootstrap_resamples <= _MAX_BOOTSTRAP_RESAMPLES:
+            raise ConfigError("bootstrap_resamples must be in "
+                              f"[100, {_MAX_BOOTSTRAP_RESAMPLES}]")
         if not 0 <= self.scan_points <= _MAX_SCAN_POINTS:
             raise ConfigError(f"scan_points must be in [0, {_MAX_SCAN_POINTS}]")
         if not 0 <= self.nbar <= _MAX_NBAR:

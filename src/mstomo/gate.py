@@ -7,6 +7,9 @@ The bichromatic spin-dependent force is represented two independent ways:
 * a brute-force propagator on a two-qubit spin register tensored with a
   truncated Fock register, built from a displacement operator that is
   exponentiated through the eigendecomposition of its Hermitian generator.
+  That generator is a phase rotation of the real position quadrature
+  ``a + a^dag``, so one real eigendecomposition per register size serves
+  every displacement on that register.
 
 The two routes are kept strictly independent so each can serve as the
 oracle for the other. Scans (:func:`signal_curves`) use the closed forms
@@ -20,6 +23,7 @@ convex mixtures.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -143,24 +147,36 @@ def target_state(label: str, phi_e: float = 0.0, phi_o: float = 0.0) -> np.ndarr
 # truncated Fock register and brute-force propagation
 # ---------------------------------------------------------------------------
 
-def destroy(dim: int) -> np.ndarray:
-    """Truncated annihilation operator on Fock levels 0 .. dim-1."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+@functools.lru_cache(maxsize=1)
+def _quadrature_eigh(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of the quadrature a + a^dag on levels 0 .. dim-1.
+
+    The matrix is real symmetric tridiagonal with off-diagonal sqrt(n). One
+    entry is cached: consecutive scan points mostly share a register size,
+    and the largest register (nbar = 10) keeps about 5 MB alive.
+    """
+    off = np.sqrt(np.arange(1, dim, dtype=float))
+    values, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return values, vectors
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated register.
 
-    With ``H = i (alpha a^dag - alpha* a)``, exactly Hermitian in the
-    truncated space, ``D = exp(-i H) = V diag(e^{-i lambda}) V^dag`` from the
-    eigendecomposition ``H = V diag(lambda) V^dag``, so the result is
+    With ``alpha = r e^{i theta}`` the Hermitian generator ``H = i (alpha
+    a^dag - alpha* a)`` equals ``r P X P^dag``, where ``X = a + a^dag`` is
+    real symmetric and ``P = diag(e^{i n (theta + pi/2)})``. From the cached
+    real eigendecomposition ``X = V diag(lambda) V^T``,
+    ``D = exp(-i H) = (P V) diag(e^{-i r lambda}) (P V)^dag``, which is
     unitary; truncation only limits how faithfully it represents the
     infinite-dimensional displacement (guarded by the health check).
     """
-    a = destroy(dim)
-    h = 1j * (alpha * a.conj().T - np.conjugate(alpha) * a)
-    values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * values)) @ vectors.conj().T
+    values, vectors = _quadrature_eigh(dim)
+    phases = np.exp(1j * (cmath.phase(alpha) + math.pi / 2) * np.arange(dim))
+    rotated = phases[:, None] * vectors
+    return (rotated * np.exp(-1j * abs(alpha) * values)) @ rotated.conj().T
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import sampling
 from .core import (SIGMA_0, ReconstructionError, kron, pauli_expansion,
@@ -295,6 +294,9 @@ def mle_fit(records, detection: DetectionModel,
     the fit is converged once a restart improves the objective by less than
     1e-10. Record order does not matter: settings are canonicalized first.
     """
+    # imported here so that commands which never fit do not load scipy
+    from scipy.optimize import minimize
+
     records = sorted(records, key=lambda rec: SETTINGS.index(rec.setting))
     if {rec.setting for rec in records} != set(SETTINGS):
         raise ReconstructionError("records must cover all 9 settings")

@@ -65,6 +65,9 @@ def test_config_validation():
     ("seed = -1", ["tomo", "--no-bootstrap"]),
     ("nbar = 10.5", ["scan", "time"]),
     ("scan_points = 10001", ["scan", "detuning"]),
+    ("bootstrap_resamples = 10001", ["tomo", "--no-bootstrap"]),
+    ("shots = 1000000001", ["tomo", "--no-bootstrap"]),
+    ("control_shots = 1000000001", ["tomo", "--no-bootstrap"]),
 ])
 def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, argv):
     cfg_path = tmp_path / "bad.cfg"

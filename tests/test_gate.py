@@ -10,10 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from mstomo import core, gate
+from mstomo import cli, config, core, gate
 from conftest import ginibre_states
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def destroy(dim):
+    """Truncated annihilation operator on Fock levels 0 .. dim-1."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def operating_point(khz=6.4, m=1, **kwargs):
@@ -31,11 +37,16 @@ def coherent_state(alpha, dim):
     return np.exp(-abs(alpha) ** 2 / 2.0 + n * cmath.log(alpha) - log_fact / 2.0)
 
 
-def test_gate_imports_no_scipy():
+@pytest.mark.parametrize("code", [
+    "import mstomo.gate",
+    f"import mstomo.cli; mstomo.cli.load_config({str(CONFIGS / 'noisy.cfg')!r})",
+], ids=["gate", "cli"])
+def test_imports_load_no_scipy(code):
+    # scan, budget and analyze never fit, so they must not pay for scipy
     paths = [str(Path(gate.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    code = ("import sys, mstomo.gate; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code += ("; import sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -159,10 +170,28 @@ def test_ideal_gate_on_density_matrix(rng):
 
 def test_displacement_operator_matches_matrix_exponential(rng):
     for dim in (2, 40, 120):
-        a = gate.destroy(dim)
+        a = destroy(dim)
         for alpha in (0.0, 1.3 - 0.4j, complex(*rng.uniform(-3, 3, 2))):
             expected = expm(alpha * a.conj().T - np.conjugate(alpha) * a)
             assert np.abs(gate.displacement_operator(alpha, dim) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind, solves", [("time", 1), ("detuning", 31)])
+def test_scan_solves_one_eigenproblem_per_register_size(monkeypatch, kind, solves):
+    # a time scan keeps one register size; the noisy detuning scan visits 31
+    cfg = config.load_config(CONFIGS / "noisy.cfg")
+    gate._quadrature_eigh.cache_clear()
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(matrix):
+        calls.append(matrix.shape[0])
+        return real_eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rows = cli.run_scan(cfg, kind)
+    assert len(rows) == cfg.scan_points
+    assert len(calls) == len(set(calls)) == solves
 
 
 def test_propagation_at_zero_time_is_identity():
