@@ -27,8 +27,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# all 16 products sigma_i x sigma_j, indexed [i][j]
-PAULI_PRODUCTS = tuple(tuple(kron(a, b) for b in PAULIS) for a in PAULIS)
+# all 16 products sigma_i x sigma_j as one (4, 4, 4, 4) array, indexed [i, j]
+PAULI_STACK = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])
 
 _HERMITICITY_TOL = 1e-10  # relative defect herm_eig accepts
 
@@ -85,21 +85,13 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pauli_expansion(rho: np.ndarray) -> np.ndarray:
     """Coefficients r[i, j] = Tr(rho . sigma_i x sigma_j) as a real 4x4 array."""
     rho = np.asarray(rho, dtype=complex)
-    r = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            r[i, j] = np.trace(rho @ PAULI_PRODUCTS[i][j]).real
-    return r
+    return np.einsum("kl,ijlk->ij", rho, PAULI_STACK).real
 
 
 def pauli_reconstruct(r: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_expansion`: rho = (1/4) sum_ij r_ij sigma_i x sigma_j."""
     r = np.asarray(r, dtype=float)
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            rho += r[i, j] * PAULI_PRODUCTS[i][j]
-    return rho / 4.0
+    return np.einsum("ij,ijkl->kl", r, PAULI_STACK) / 4.0
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PAULI_PRODUCTS, apply_rotations, herm_eig,
+from .core import (PAULI_STACK, apply_rotations, herm_eig,
                    partial_transpose, single_qubit_rotation)
 from .gate import target_state
 
@@ -23,7 +23,7 @@ from .gate import target_state
 _COHERENCE_BLOCK = {"even": (0, 3), "odd": (1, 2)}
 _PARITY_CLASS = {"uu": "even", "dd": "even", "ud": "odd", "du": "odd"}
 
-_SIGMA_YY = PAULI_PRODUCTS[2][2]
+_SIGMA_YY = PAULI_STACK[2, 2]
 _COHERENCE_TOL = 1e-12  # below it the target phase is undefined
 
 

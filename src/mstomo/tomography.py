@@ -1,12 +1,19 @@
 """Projective-measurement simulation and density-matrix reconstruction.
 
 Measurements run in the nine two-qubit Pauli bases ``{x, y, z} x {x, y, z}``
-(27 independent outcomes after normalization). Reconstruction comes in two
-flavours: fast linear inversion of the Pauli coefficients, which can leave
-the estimate unphysical at finite statistics, and a constrained fit through
-a triangular-factor parameterization ``rho = T^dag T / Tr(T^dag T)`` that is
-Hermitian, normalized and positive semidefinite by construction. The fit
-minimizes a Pearson-weighted least-squares objective with a simplex search.
+(27 independent outcomes after normalization). Every route reads one
+measurement map, built from the nine analysis unitaries ``_U``: the
+reported probabilities of all settings are ``p = (I_9 x C) K vec(rho)``,
+with ``K`` the constant 36x16 matrix of rotated projectors and ``C`` the
+4x4 joint detection confusion. Reconstruction comes in two flavours: linear
+inversion, the constant pseudo-inverse of the real Pauli-coefficient map
+``A = K . vec(sigma_i x sigma_j) / 4`` applied to the confusion-corrected
+frequencies (James, Kwiat, Munro & White, PRA 64, 052312, 2001), which can
+leave the estimate unphysical at finite statistics; and a constrained fit
+through a triangular-factor parameterization ``rho = T^dag T / Tr(T^dag T)``
+that is Hermitian, normalized and positive semidefinite by construction.
+The fit minimizes a Pearson-weighted least-squares objective with a simplex
+search.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .core import (SIGMA_0, ReconstructionError, kron, pauli_expansion,
+from .core import (PAULI_STACK, SIGMA_0, ReconstructionError, kron,
                    pauli_reconstruct, single_qubit_rotation)
 
 BASES = ("x", "y", "z")
@@ -51,6 +58,17 @@ def setting_rotations(setting: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]
         else:
             raise ValueError(f"unknown basis {basis!r}")
     return pulses[0], pulses[1]
+
+
+# analysis unitaries r1 x r2 of the nine settings, in SETTINGS order
+_U = np.array([kron(*setting_rotations(s)) for s in SETTINGS])
+# row 4 s + k: vec of U_s^dag |k><k| U_s, so that p_sk = K[4 s + k] . vec(rho)
+_K = np.einsum("ski,skj->skij", _U, _U.conj()).reshape(36, 16)
+# real map of the Pauli coefficients r (row-major) onto the 36 probabilities;
+# its columns are orthogonal, so its pseudo-inverse is A^T with each row
+# divided by the squared norm of the matching column
+_A = (_K @ PAULI_STACK.reshape(16, 16).T).real / 4.0
+_A_PINV = _A.T / (_A ** 2).sum(axis=0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,7 @@ class DetectionModel:
 def outcome_probabilities(rho: np.ndarray, setting: tuple[str, str],
                           detection: DetectionModel) -> np.ndarray:
     """Outcome probabilities (uu, ud, du, dd) of one setting, detection included."""
-    r1, r2 = setting_rotations(setting)
-    u = kron(r1, r2)
+    u = _U[SETTINGS.index(tuple(setting))]
     rotated = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     p = np.clip(np.diag(rotated).real, 0.0, None)
     return detection.joint() @ p
@@ -148,11 +165,30 @@ def simulate_counts(rho: np.ndarray, settings, shots: int,
     return records
 
 
-def _corrected_frequencies(record: CountsRecord, detection: DetectionModel) -> np.ndarray:
-    joint = detection.joint()
-    if abs(np.linalg.det(joint)) < 1e-12:
-        raise ReconstructionError("detection confusion matrix is singular")
-    return np.linalg.solve(joint, record.frequencies)
+def measurement_matrix(detection: DetectionModel) -> np.ndarray:
+    """Maps vec(rho) -> reported outcome probabilities, shape (9, 4, 16)."""
+    return detection.joint() @ _K.reshape(9, 4, 16)
+
+
+def _canonical_counts(records) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (9, 4) and shots (9,) of records holding each setting once.
+
+    Rows follow ``SETTINGS``; a missing, duplicated or unknown setting
+    raises :class:`ReconstructionError`.
+    """
+    by_setting = {}
+    for record in records:
+        if record.setting in by_setting:
+            raise ReconstructionError(f"duplicate setting {record.setting}")
+        if record.setting not in SETTINGS:
+            raise ReconstructionError(f"unknown setting {record.setting}")
+        by_setting[record.setting] = record
+    missing = [s for s in SETTINGS if s not in by_setting]
+    if missing:
+        raise ReconstructionError(f"missing settings: {missing}")
+    ordered = [by_setting[s] for s in SETTINGS]
+    return (np.array([rec.counts for rec in ordered]),
+            np.array([rec.shots for rec in ordered]))
 
 
 @dataclass(frozen=True)
@@ -168,43 +204,23 @@ class LinearInversionResult:
         return self.min_eigenvalue >= -1e-9
 
 
-_SIGN = np.array([1.0, -1.0])  # z eigenvalue of (up, down)
-_SIGN1 = np.array([1.0, 1.0, -1.0, -1.0])
-_SIGN2 = np.array([1.0, -1.0, 1.0, -1.0])
-
-
 def linear_inversion(records, detection: DetectionModel) -> LinearInversionResult:
     """Reconstruct the Pauli coefficients directly from measured frequencies.
 
-    Detection confusion is inverted on the frequencies; two-qubit
-    coefficients come from the matching setting, single-qubit ones are
-    averaged over the three settings containing the needed marginal, and
-    r_00 = 1. The resulting matrix is Hermitian with unit trace but can
-    have negative eigenvalues at finite statistics, which is reported, not
-    rejected.
+    Detection confusion is inverted on the frequencies of all settings at
+    once, and the least-squares Pauli coefficients are the constant
+    pseudo-inverse of the coefficient map applied to them: a two-qubit
+    coefficient comes from its one setting, a single-qubit one is the mean
+    over the three settings that measure it, and r_00 is 1 up to rounding.
+    The resulting matrix is Hermitian with unit trace but can have negative
+    eigenvalues at finite statistics, which is reported, not rejected.
     """
-    by_setting = {}
-    for record in records:
-        if record.setting in by_setting:
-            raise ReconstructionError(f"duplicate setting {record.setting}")
-        by_setting[record.setting] = record
-    missing = [s for s in SETTINGS if s not in by_setting]
-    if missing:
-        raise ReconstructionError(f"missing settings: {missing}")
-
-    r = np.zeros((4, 4))
-    r[0, 0] = 1.0
-    marg1 = {b: [] for b in BASES}
-    marg2 = {b: [] for b in BASES}
-    for (b1, b2) in SETTINGS:
-        f = _corrected_frequencies(by_setting[(b1, b2)], detection)
-        i, j = BASES.index(b1) + 1, BASES.index(b2) + 1
-        r[i, j] = float(np.sum(_SIGN1 * _SIGN2 * f))
-        marg1[b1].append(float(np.sum(_SIGN1 * f)))
-        marg2[b2].append(float(np.sum(_SIGN2 * f)))
-    for b in BASES:
-        r[BASES.index(b) + 1, 0] = np.mean(marg1[b])
-        r[0, BASES.index(b) + 1] = np.mean(marg2[b])
+    counts, shots = _canonical_counts(records)
+    joint = detection.joint()
+    if abs(np.linalg.det(joint)) < 1e-12:
+        raise ReconstructionError("detection confusion matrix is singular")
+    corrected = np.linalg.solve(joint, (counts / shots[:, None]).T).T
+    r = (_A_PINV @ corrected.reshape(36)).reshape(4, 4)
 
     rho = pauli_reconstruct(r)
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
@@ -259,24 +275,9 @@ class TomographyResult:
     """Constrained fit output; ``rho`` is physical by construction."""
 
     rho: np.ndarray
-    r: np.ndarray
     objective: float
     iterations: int
     converged: bool
-
-
-def _stack_model(records, detection: DetectionModel):
-    """Per-outcome linear maps vec(rho) -> reported probability, stacked."""
-    joint = detection.joint()
-    maps, counts, shots = [], [], []
-    for record in records:
-        r1, r2 = setting_rotations(record.setting)
-        u = kron(r1, r2)
-        k = np.einsum("ki,kj->kij", u, u.conj()).reshape(4, 16)
-        maps.append(joint @ k)
-        counts.append(record.counts)
-        shots.append(np.full(4, record.shots))
-    return np.vstack(maps), np.concatenate(counts), np.concatenate(shots)
 
 
 def mle_fit(records, detection: DetectionModel,
@@ -297,10 +298,9 @@ def mle_fit(records, detection: DetectionModel,
     # imported here so that commands which never fit do not load scipy
     from scipy.optimize import minimize
 
-    records = sorted(records, key=lambda rec: SETTINGS.index(rec.setting))
-    if {rec.setting for rec in records} != set(SETTINGS):
-        raise ReconstructionError("records must cover all 9 settings")
-    model, counts, shots = _stack_model(records, detection)
+    counts, shots = _canonical_counts(records)
+    counts, shots = counts.reshape(36), np.repeat(shots, 4)
+    model = measurement_matrix(detection).reshape(36, 16)
 
     def objective(params: np.ndarray) -> float:
         p = (model @ _rho_from_params(params).reshape(16)).real
@@ -338,9 +338,8 @@ def mle_fit(records, detection: DetectionModel,
             break
 
     rho = _rho_from_params(best.x)
-    return TomographyResult(rho=rho, r=pauli_expansion(rho),
-                            objective=float(best.fun), iterations=iterations,
-                            converged=converged)
+    return TomographyResult(rho=rho, objective=float(best.fun),
+                            iterations=iterations, converged=converged)
 
 
 # ---------------------------------------------------------------------------

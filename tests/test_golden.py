@@ -3,10 +3,13 @@
 ``golden/outputs.json`` holds the SHA-256 digest, the size and the numbers
 of each file those runs write, with the Python, numpy and scipy versions
 that made it. A change that moves output bytes regenerates the fixture in
-the same commit and records, from this test's failure message, which files
-moved and by how much. Regenerate with
+the same commit and records which files moved and by how much. Regenerate
+with
 
     PYTHONPATH=src python tests/test_golden.py --regen
+
+which prints, before it overwrites the fixture, the same list of moved,
+added and removed files that this test fails with.
 
 The bootstrap is left out: one bootstrapped ``tomo`` run costs about as much
 as all the runs below together.
@@ -87,20 +90,24 @@ def numeric_change(old: list[float], new: list[float]) -> str:
             f"(number {k}: {old[k]!r} -> {new[k]!r})")
 
 
-def test_golden_outputs_are_unchanged(tmp_path):
-    fixture = json.loads(FIXTURE.read_text())
-    expected = fixture["files"]
-    actual = {name: describe(data) for name, data in run_golden(tmp_path).items()}
-
-    problems = [f"{name}: no longer written" for name in expected
-                if name not in actual]
-    problems += [f"{name}: not in the fixture" for name in actual
-                 if name not in expected]
+def changes(expected: dict, actual: dict) -> list[str]:
+    """One line per file that moved, or is written or no longer written."""
+    lines = [f"{name}: no longer written (was {expected[name]['size']} bytes)"
+             for name in expected if name not in actual]
+    lines += [f"{name}: not in the fixture ({actual[name]['size']} bytes)"
+              for name in actual if name not in expected]
     for name in sorted(set(expected) & set(actual)):
         old, new = expected[name], actual[name]
         if old["sha256"] != new["sha256"]:
-            problems.append(f"{name}: {old['size']} -> {new['size']} bytes, "
-                            + numeric_change(old["numbers"], new["numbers"]))
+            lines.append(f"{name}: {old['size']} -> {new['size']} bytes, "
+                         + numeric_change(old["numbers"], new["numbers"]))
+    return lines
+
+
+def test_golden_outputs_are_unchanged(tmp_path):
+    fixture = json.loads(FIXTURE.read_text())
+    actual = {name: describe(data) for name, data in run_golden(tmp_path).items()}
+    problems = changes(fixture["files"], actual)
     assert not problems, (
         f"golden outputs changed (fixture made with {fixture['versions']}, "
         f"now {versions()}):\n" + "\n".join(problems))
@@ -110,10 +117,13 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: {sys.argv[0]} --regen")
     with tempfile.TemporaryDirectory() as tmp:
-        files = run_golden(Path(tmp))
+        files = {name: describe(data)
+                 for name, data in run_golden(Path(tmp)).items()}
+    previous = (json.loads(FIXTURE.read_text())["files"]
+                if FIXTURE.exists() else {})
+    for line in changes(previous, files) or ["no file moved"]:
+        print(line)
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(
-        {"versions": versions(),
-         "files": {name: describe(data) for name, data in files.items()}},
-        indent=1) + "\n")
+    FIXTURE.write_text(json.dumps({"versions": versions(), "files": files},
+                                  indent=1) + "\n")
     print(f"wrote {FIXTURE} ({len(files)} files)")

@@ -9,6 +9,7 @@ from conftest import ginibre_states, trace_distance
 
 PERFECT = tomo.DetectionModel.perfect()
 CAMERA97 = tomo.DetectionModel.symmetric(0.97)
+ASYMMETRIC = tomo.DetectionModel.symmetric(0.97, 0.95)
 
 
 def exact_records(rho, detection=PERFECT):
@@ -73,6 +74,15 @@ def test_outcome_probabilities_maximally_mixed(rng):
         assert (p >= 0).all() and abs(p.sum() - 1) < 1e-12
 
 
+def test_measurement_matrix_rows_match_outcome_probabilities():
+    model = tomo.measurement_matrix(ASYMMETRIC)
+    for rho in ginibre_states(41, 20) + ginibre_states(43, 20, rank=2):
+        for s, setting in enumerate(tomo.SETTINGS):
+            p = (model[s] @ rho.reshape(16)).real
+            expected = tomo.outcome_probabilities(rho, setting, ASYMMETRIC)
+            assert np.abs(p - expected).max() < 1e-15
+
+
 def test_detection_model_validation():
     with pytest.raises(ValueError, match="sum"):
         tomo.DetectionModel(np.array([[0.9, 0.0], [0.0, 0.9]]), np.eye(2))
@@ -129,6 +139,39 @@ def test_counts_csv_round_trip(tmp_path):
 # linear inversion
 # ---------------------------------------------------------------------------
 
+_SIGN1 = np.array([1.0, 1.0, -1.0, -1.0])  # z eigenvalue of qubit 1 per outcome
+_SIGN2 = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def sign_table_inversion(records, detection):
+    """Oracle: Pauli coefficients from sign sums over corrected frequencies.
+
+    Two-qubit coefficients come from the matching setting; single-qubit ones
+    average the marginal over the three settings that measure it.
+    """
+    joint = detection.joint()
+    by_setting = {rec.setting: rec for rec in records}
+    r = np.zeros((4, 4))
+    r[0, 0] = 1.0
+    for (b1, b2) in tomo.SETTINGS:
+        f = np.linalg.solve(joint, by_setting[(b1, b2)].frequencies)
+        i, j = tomo.BASES.index(b1) + 1, tomo.BASES.index(b2) + 1
+        r[i, j] = np.sum(_SIGN1 * _SIGN2 * f)
+        r[i, 0] += np.sum(_SIGN1 * f) / 3.0
+        r[0, j] += np.sum(_SIGN2 * f) / 3.0
+    return r
+
+
+def test_linear_inversion_matches_sign_table_oracle():
+    states = ginibre_states(47, 30) + ginibre_states(53, 30, rank=1)
+    for seed, rho in enumerate(states):
+        records = tomo.simulate_counts(rho, tomo.SETTINGS, 200, ASYMMETRIC, seed)
+        result = tomo.linear_inversion(records, ASYMMETRIC)
+        expected = sign_table_inversion(records, ASYMMETRIC)
+        assert np.abs(result.r - expected).max() < 1e-14
+        assert np.abs(result.rho - core.pauli_reconstruct(expected)).max() < 1e-14
+
+
 def test_linear_inversion_identity_on_exact_input(rng):
     for rho in ginibre_states(23, 10):
         result = tomo.linear_inversion(exact_records(rho), PERFECT)
@@ -154,10 +197,22 @@ def test_linear_inversion_missing_settings():
         tomo.linear_inversion(records, PERFECT)
 
 
-def test_linear_inversion_duplicate_settings():
+@pytest.mark.parametrize("reconstruct", [
+    tomo.linear_inversion,
+    lambda records, detection: tomo.mle_fit(
+        records, detection, initial_guess=np.eye(4) / 4, restarts=0),
+], ids=["linear_inversion", "mle_fit"])
+def test_linear_inversion_duplicate_settings(reconstruct):
     records = exact_records(np.eye(4) / 4)
     with pytest.raises(tomo.ReconstructionError, match="duplicate"):
-        tomo.linear_inversion(records + records[:1], PERFECT)
+        reconstruct(records + records[:1], PERFECT)
+
+
+def test_unknown_setting_is_rejected():
+    records = exact_records(np.eye(4) / 4)
+    records[0] = tomo.CountsRecord(("z", "w"), records[0].counts, 1.0)
+    with pytest.raises(tomo.ReconstructionError, match="unknown"):
+        tomo.linear_inversion(records, PERFECT)
 
 
 def test_linear_inversion_singular_confusion():
