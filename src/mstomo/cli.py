@@ -32,7 +32,7 @@ from .config import KHZ, US, ConfigError, RunConfig, load_config
 from .core import basis_state, density_from_dict, density_to_dict, projector, validate_density
 from .gate import (TruncationError, apply_contrast, apply_ideal_gate,
                    error_budget, prep_error_channel, scattering_channel,
-                   signal_curves)
+                   signal_curves, thermal_register_size)
 from .measures import MeasuresReport, analyze, fit_target_phase, parity_class
 from .sampling import BootstrapReport, bootstrap
 from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
@@ -43,6 +43,11 @@ from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
 
 SCAN_HEADER = ("t_us", "delta_kHz", "s_av", "parity")
 STATE_LABELS = ("uu", "dd", "ud", "du")
+# largest Fock register a thermal scan may propagate; it grows with nbar and
+# eta_omega / |delta|, and the default, noisy.cfg and ideal.cfg grids need at
+# most 848 levels at nbar = 10. At 1,000 levels a complex matrix takes 16 MB,
+# a scan point about 0.4 s and a whole run about 110 MB (2 cores, nbar = 10).
+_MAX_FOCK_LEVELS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +68,13 @@ def run_scan(cfg: RunConfig, kind: str) -> list[tuple[float, float, float, float
         grid = [(t * US, params.delta) for t in times]
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
+    if cfg.nbar > 0 and grid:
+        alpha_max = params.eta_omega / min(abs(d) for _, d in grid)
+        size = thermal_register_size(alpha_max, cfg.nbar)
+        if size > _MAX_FOCK_LEVELS:
+            keys = "delta_khz" if kind == "time" else "scan_delta_min_khz/scan_delta_max_khz"
+            raise ConfigError(f"{keys} too close to zero: the thermal scan needs "
+                              f"{size} Fock levels, above {_MAX_FOCK_LEVELS}")
 
     brightness, parity = signal_curves(params, grid, cfg.nbar)
     s_av = apply_contrast(brightness, cfg.contrast, cfg.offset)

@@ -19,7 +19,7 @@ KHZ = 2.0 * math.pi * 1e3  # kHz (ordinary) -> rad/s
 US = 1e-6  # microseconds -> seconds
 
 # upper bounds of the keys whose size drives memory or time: a thermal scan
-# at nbar = 10 propagates 290 Fock levels on a register of up to ~815 levels
+# at nbar = 10 propagates 290 Fock levels (the scan bounds their register)
 _MAX_NBAR = 10.0
 _MAX_SCAN_POINTS = 10_000
 # the bootstrap builds every resample's generator up front (about 1 kB each)
@@ -74,7 +74,6 @@ class RunConfig:
     eta_ld: float = 0.1
     omega_hf_khz: float = 1.453e7
     dnu_st_khz: float | None = 75.0
-    tau_g_us: float | None = 80.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -113,17 +112,14 @@ class RunConfig:
         """GateParams in SI units; detuning defaults to the operating point."""
         eta_omega = self.eta_omega_khz * KHZ
         if self.delta_khz is None:
-            point = gate_operating_point(eta_omega, self.m, self.phi_e_rad,
-                                         self.phi_o_rad, self.nbar)
-            return point
-        return GateParams(eta_omega=eta_omega, delta=self.delta_khz * KHZ,
-                          m=self.m, tau_g=2.0 * math.pi * self.m / (self.delta_khz * KHZ),
-                          phi_e=self.phi_e_rad, phi_o=self.phi_o_rad, nbar=self.nbar)
+            return gate_operating_point(eta_omega, self.m)
+        return GateParams(eta_omega, self.delta_khz * KHZ, self.m)
 
     def detection(self) -> DetectionModel:
         return DetectionModel.symmetric(self.det_fid_q1, self.det_fid_q2)
 
     def budget(self) -> ErrorBudget:
+        """ErrorBudget in SI units, at the gate time of :meth:`gate_params`."""
         try:
             return ErrorBudget(
                 gamma=self.gamma_khz * KHZ,
@@ -131,7 +127,7 @@ class RunConfig:
                 epsilon=self.epsilon, zeta=self.zeta, eta_ld=self.eta_ld,
                 omega_hf=self.omega_hf_khz * KHZ,
                 dnu_st=None if self.dnu_st_khz is None else self.dnu_st_khz * KHZ,
-                tau_g=None if self.tau_g_us is None else self.tau_g_us * US,
+                tau_g=self.gate_params().tau_g,
                 kappa=self.kappa)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -140,7 +136,7 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_OPTIONAL = ("delta_khz", "dnu_st_khz", "tau_g_us")
+_OPTIONAL = ("delta_khz", "dnu_st_khz")
 _INT_FIELDS = ("m", "shots", "control_shots",
                "bootstrap_resamples", "seed", "scan_points")
 

@@ -52,35 +52,32 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GateParams:
-    """Operating parameters of the bichromatic gate drive.
+    """The bichromatic gate drive, and with it the gate time.
 
     ``eta_omega`` is the sideband Rabi frequency (rad/s), ``delta`` the
-    symmetric sideband detuning (rad/s), ``m`` the loop-closure integer and
-    ``tau_g`` the gate time (s). ``phi_e`` / ``phi_o`` are the free phases
-    of the even- and odd-parity entangled outputs; ``nbar`` the initial
-    thermal occupation of the driven mode.
+    symmetric sideband detuning (rad/s) and ``m`` the number of closed
+    loops. The gate time ``tau_g`` follows from loop closure.
     """
 
     eta_omega: float
     delta: float
     m: int = 1
-    tau_g: float | None = None
-    phi_e: float = 0.0
-    phi_o: float = 0.0
-    nbar: float = 0.0
 
     def __post_init__(self):
         if self.eta_omega <= 0:
             raise ValueError("eta_omega must be positive")
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
-        if self.nbar < 0:
-            raise ValueError("nbar must be non-negative")
 
     @property
     def alpha_o(self) -> float:
         """Displacement scale eta_omega / delta."""
         return self.eta_omega / self.delta
+
+    @property
+    def tau_g(self) -> float:
+        """Gate time 2 pi m / |delta| (s), closing the m-th loop."""
+        return TWO_PI * self.m / abs(self.delta)
 
 
 def displacement_alpha(t: float, delta: float, alpha_o: float) -> complex:
@@ -93,20 +90,16 @@ def trajectory_phase(t: float, delta: float, alpha_o: float) -> float:
     return alpha_o ** 2 * (delta * t - math.sin(delta * t))
 
 
-def gate_operating_point(eta_omega: float, m: int = 1, phi_e: float = 0.0,
-                         phi_o: float = 0.0, nbar: float = 0.0) -> GateParams:
+def gate_operating_point(eta_omega: float, m: int = 1) -> GateParams:
     """Parameters closing the trajectory after m loops with geometric phase pi/2.
 
     The two conditions (closure ``delta tau_g = 2 pi m`` and maximal
     entanglement ``2 pi m alpha_o^2 = pi/2``) give ``delta = 2 eta_omega
-    sqrt(m)`` and ``tau_g = 2 pi m / delta``.
+    sqrt(m)``.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    delta = 2.0 * eta_omega * math.sqrt(m)
-    tau_g = TWO_PI * m / delta
-    return GateParams(eta_omega=eta_omega, delta=delta, m=m, tau_g=tau_g,
-                      phi_e=phi_e, phi_o=phi_o, nbar=nbar)
+    return GateParams(eta_omega=eta_omega, delta=2.0 * eta_omega * math.sqrt(m), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +323,11 @@ def thermal_levels(nbar: float) -> int:
     return max(1, math.ceil(math.log(_TAIL_TOL) / math.log(z)))
 
 
+def thermal_register_size(alpha_o: float, nbar: float) -> int:
+    """Fock levels :func:`thermal_signals` propagates at displacement scale alpha_o."""
+    return fock_cutoff(2.0 * abs(alpha_o), thermal_levels(nbar) - 1) + 1
+
+
 def thermal_signals(t: float, delta: float, alpha_o: float,
                     nbar: float) -> tuple[float, float]:
     """(brightness, parity) averaged over a thermal initial motional state.
@@ -340,7 +338,7 @@ def thermal_signals(t: float, delta: float, alpha_o: float,
     (it only depends on t and delta).
     """
     levels = thermal_levels(nbar)
-    dim = fock_cutoff(2.0 * abs(alpha_o), levels - 1) + 1
+    dim = thermal_register_size(alpha_o, nbar)
     start = np.zeros((4, dim, levels), dtype=complex)
     start[0, np.arange(levels), np.arange(levels)] = 1.0  # uu x |n>
     final = _force(start, t, delta, alpha_o)
@@ -349,16 +347,14 @@ def thermal_signals(t: float, delta: float, alpha_o: float,
 
 
 def signal_curves(params: GateParams, grid,
-                  nbar: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  nbar: float) -> tuple[np.ndarray, np.ndarray]:
     """(brightness, parity) arrays over a grid of (t, delta) points.
 
     For ``nbar = 0`` the closed forms are used; for ``nbar > 0`` each point
     is one probability-weighted Fock propagation that yields both signals
     (the closed forms with the (2 nbar + 1)-scaled exponent are candidates
-    checked against this route in the tests, not asserted here). ``nbar``
-    defaults to ``params.nbar``.
+    checked against this route in the tests, not asserted here).
     """
-    nbar = params.nbar if nbar is None else nbar
     values = []
     for t, delta in grid:
         alpha_o = params.eta_omega / delta
@@ -371,8 +367,7 @@ def signal_curves(params: GateParams, grid,
     return brightness, parity
 
 
-def brightness_curve(params: GateParams, grid,
-                     nbar: float | None = None) -> np.ndarray:
+def brightness_curve(params: GateParams, grid, nbar: float) -> np.ndarray:
     """Brightness over a grid of (t, delta) points, as in :func:`signal_curves`."""
     return signal_curves(params, grid, nbar)[0]
 

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mstomo import cli, config, core, gate, measures
-from mstomo.config import ConfigError, RunConfig
+from mstomo.config import KHZ, ConfigError, RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,37 @@ def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, 
     assert not list(out.glob("*.csv"))
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# values each validated key accepts; every other key takes any finite float
+_VALID = {
+    "eta_omega_khz": st.floats(1e-3, 1e3),
+    "delta_khz": st.none() | _FINITE.filter(bool),
+    "m": st.integers(1, 10),
+    "nbar": st.floats(0.0, 10.0),
+    "p_sc": st.floats(0.0, 1.0),
+    "kappa": st.floats(0.0, 1.0),
+    "f_prep": st.floats(0.25, 1.0),
+    "det_fid_q1": st.floats(0.5, 1.0),
+    "det_fid_q2": st.floats(0.5, 1.0),
+    "shots": st.integers(1, 10 ** 9),
+    "control_shots": st.integers(1, 10 ** 9),
+    "bootstrap_resamples": st.integers(100, 10_000),
+    "seed": st.integers(0, 2 ** 63),
+    "scan_points": st.integers(0, 10_000),
+    "dnu_st_khz": st.none() | _FINITE,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({f.name: _VALID.get(f.name, _FINITE)
+                              for f in fields(RunConfig)}))
+def test_valid_config_round_trips_through_text(values):
+    cfg = RunConfig(**values)
+    text = "\n".join(f"{key} = {'none' if value is None else repr(value)}"
+                     for key, value in cfg.to_dict().items())
+    assert config.parse_config(text) == cfg
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         config.load_config(tmp_path / "nope.cfg")
@@ -147,6 +180,25 @@ def test_zero_point_scan_writes_header_only(tmp_path):
     assert run_cli("scan", "time", "--config", cfg_path, "--out", tmp_path) == 0
     rows = (tmp_path / "scan_time.csv").read_text().splitlines()
     assert rows == ["t_us,delta_kHz,s_av,parity"]
+
+
+@pytest.mark.parametrize("lines, kind, key", [
+    ("nbar = 0.3\nscan_delta_min_khz = 0.1\nscan_points = 3\n", "detuning",
+     "scan_delta_min_khz/scan_delta_max_khz"),
+    ("nbar = 0.3\ndelta_khz = -0.1\nscan_points = 3\n", "time", "delta_khz"),
+], ids=["detuning", "time"])
+def test_scan_rejects_oversized_fock_register(tmp_path, capsys, monkeypatch,
+                                              lines, kind, key):
+    # both grids need 18,441 levels, 5.4 GB per complex matrix
+    def refuse(dim):
+        raise AssertionError(f"built a {dim}-level register")
+
+    monkeypatch.setattr(gate, "_quadrature_eigh", refuse)
+    cfg_path = tmp_path / "scan.cfg"
+    cfg_path.write_text(lines)
+    assert run_cli("scan", kind, "--config", cfg_path, "--out", tmp_path) == 1
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_scan_range_crossing_zero_fails(tmp_path):
@@ -234,18 +286,30 @@ def test_prepared_state_noise_chain():
 def test_budget_command_documents(tmp_path, capsys):
     assert run_cli("budget", "--out", tmp_path) == 0
     doc = json.loads((tmp_path / "budget.json").read_text())
-    assert doc["phi_st_rad"] == pytest.approx(12 * math.pi, rel=1e-9)
-    assert doc["p_sc"] == pytest.approx(0.311, abs=0.005)
+    cfg = RunConfig()
+    # the Stark phase accrues over the gate time the drive sets
+    phi_st = 2 * math.pi * cfg.dnu_st_khz * 1e3 * cfg.gate_params().tau_g
+    assert doc["phi_st_rad"] == pytest.approx(phi_st, rel=1e-9)
+    assert doc["p_sc"] == pytest.approx(
+        phi_st * 2 * cfg.gamma_khz / cfg.omega_hf_khz, rel=1e-9)
     assert doc["predicted_infidelity"] == pytest.approx(0.73 * doc["p_sc"],
                                                         rel=1e-9)
     table = capsys.readouterr().out
     assert "beta" in table and "p_sc" in table
 
 
+def test_budget_is_even_in_the_detuning():
+    # tau_g = 2 pi m / |delta|: the sign of the detuning sets no gate time
+    below = cli.budget_table(RunConfig(delta_khz=-12.8))[1]
+    above = cli.budget_table(RunConfig(delta_khz=12.8))[1]
+    assert below == above
+    assert above["phi_st_rad"] == pytest.approx(
+        75.0 * KHZ * 2 * math.pi / (12.8 * KHZ), rel=1e-12)
+
+
 def test_budget_scales_with_raman_detuning(tmp_path):
-    base = cli.budget_table(RunConfig(dnu_st_khz=None, tau_g_us=None))[1]
-    wide = cli.budget_table(RunConfig(dnu_st_khz=None, tau_g_us=None,
-                                      delta_raman_khz=2.0e9))[1]
+    base = cli.budget_table(RunConfig(dnu_st_khz=None))[1]
+    wide = cli.budget_table(RunConfig(dnu_st_khz=None, delta_raman_khz=2.0e9))[1]
     assert wide["p_sc"] == pytest.approx(base["p_sc"] / 10)
     assert wide["phi_st_rad"] == pytest.approx(base["phi_st_rad"] / 10)
 

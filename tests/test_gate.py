@@ -22,8 +22,8 @@ def destroy(dim):
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
-def operating_point(khz=6.4, m=1, **kwargs):
-    return gate.gate_operating_point(TWO_PI * khz * 1e3, m, **kwargs)
+def operating_point(khz=6.4, m=1):
+    return gate.gate_operating_point(TWO_PI * khz * 1e3, m)
 
 
 def coherent_state(alpha, dim):
@@ -337,15 +337,16 @@ def test_thermal_averaging_reduces_contrast():
 
 
 def test_brightness_curve_dispatch_handles_both_temperatures():
-    params = operating_point(6.3, nbar=0.3)
+    params = operating_point(6.3)
     grid = [(75e-6, params.delta)]
-    warm = gate.brightness_curve(params, grid)  # nbar from params
+    warm = gate.brightness_curve(params, grid, nbar=0.3)
     cold = gate.brightness_curve(params, grid, nbar=0.0)
     s_ref, p_ref = gate.thermal_signals(75e-6, params.delta, params.alpha_o, 0.3)
     assert warm[0] == pytest.approx(s_ref, abs=1e-12)
     assert cold[0] == pytest.approx(
         gate.brightness_closed(75e-6, params.delta, params.alpha_o), abs=1e-12)
-    assert gate.signal_curves(params, grid)[1][0] == pytest.approx(p_ref, abs=1e-12)
+    assert gate.signal_curves(params, grid, nbar=0.3)[1][0] == pytest.approx(
+        p_ref, abs=1e-12)
 
 
 def test_contrast_and_offset_factors():

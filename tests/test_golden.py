@@ -2,9 +2,10 @@
 
 ``golden/outputs.json`` holds the SHA-256 digest, the size and the numbers
 of each file those runs write, with the Python, numpy and scipy versions
-that made it. A change that moves output bytes regenerates the fixture in
-the same commit and records which files moved and by how much. Regenerate
-with
+that made it. A JSON file's numbers are keyed by their path in the document
+(``config.seed``, ``re.0.3``); a CSV file's are listed in order. A change
+that moves output bytes regenerates the fixture in the same commit and
+records which files moved and by how much. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 
@@ -48,7 +49,8 @@ RUNS = [
                  "--state", "uu"]),
 ]
 
-# a number not glued to an identifier (the 1 of "det_fid_q1" is not one)
+# a number in a CSV file, not glued to an identifier (the 1 of "basis_q1"
+# is not one)
 _NUMBER = re.compile(rb"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -73,21 +75,62 @@ def run_golden(workdir: Path) -> dict[str, bytes]:
             for path in sorted(workdir.rglob("*")) if path.is_file()}
 
 
-def describe(data: bytes) -> dict:
+def json_numbers(value, path: str = "") -> dict:
+    """{key path: number} for every int and float of a parsed JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {path: value}
+    else:
+        return {}
+    numbers = {}
+    for key, item in items:
+        numbers.update(json_numbers(item, f"{path}.{key}" if path else str(key)))
+    return numbers
+
+
+def describe(name: str, data: bytes) -> dict:
+    numbers = (json_numbers(json.loads(data)) if name.endswith(".json")
+               else [float(x) for x in _NUMBER.findall(data)])
     return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data),
-            "numbers": [float(x) for x in _NUMBER.findall(data)]}
+            "numbers": numbers}
 
 
-def numeric_change(old: list[float], new: list[float]) -> str:
-    """The largest change between two files' numbers, in words."""
-    if len(old) != len(new):
-        return f"number count {len(old)} -> {len(new)}"
-    if not old:
-        return "no numbers"
-    diff = np.abs(np.array(new) - np.array(old))
-    k = int(np.argmax(diff))
-    return (f"largest numeric change {diff[k]:.3g} "
-            f"(number {k}: {old[k]!r} -> {new[k]!r})")
+def _change(old: dict, new: dict, path: str) -> str:
+    return f"{abs(new[path] - old[path]):.3g} at {path} ({old[path]!r} -> {new[path]!r})"
+
+
+def numeric_change(old, new) -> str:
+    """How two files' numbers differ, in words.
+
+    CSV numbers are compared by position. JSON numbers are compared by key
+    path: removed and added paths, then the largest change over the shared
+    ones; when that one is an integer counter (an iteration count, say),
+    also the largest change among the other numbers.
+    """
+    if isinstance(old, list):
+        if len(old) != len(new):
+            return f"number count {len(old)} -> {len(new)}"
+        if not old:
+            return "no numbers"
+        diff = np.abs(np.array(new) - np.array(old))
+        k = int(np.argmax(diff))
+        return (f"largest numeric change {diff[k]:.3g} "
+                f"(number {k}: {old[k]!r} -> {new[k]!r})")
+    parts = [f"{verb} {', '.join(sorted(paths))}" for verb, paths in
+             (("removed", old.keys() - new.keys()), ("added", new.keys() - old.keys()))
+             if paths]
+    moved = sorted((p for p in sorted(old.keys() & new.keys()) if old[p] != new[p]),
+                   key=lambda p: abs(new[p] - old[p]), reverse=True)
+    if moved:
+        parts.append("largest change " + _change(old, new, moved[0]))
+        floats = [p for p in moved
+                  if not (isinstance(old[p], int) and isinstance(new[p], int))]
+        if floats and floats[0] != moved[0]:
+            parts.append("largest non-integer change " + _change(old, new, floats[0]))
+    return "; ".join(parts) or "no number moved"
 
 
 def changes(expected: dict, actual: dict) -> list[str]:
@@ -106,7 +149,8 @@ def changes(expected: dict, actual: dict) -> list[str]:
 
 def test_golden_outputs_are_unchanged(tmp_path):
     fixture = json.loads(FIXTURE.read_text())
-    actual = {name: describe(data) for name, data in run_golden(tmp_path).items()}
+    actual = {name: describe(name, data)
+              for name, data in run_golden(tmp_path).items()}
     problems = changes(fixture["files"], actual)
     assert not problems, (
         f"golden outputs changed (fixture made with {fixture['versions']}, "
@@ -117,7 +161,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: {sys.argv[0]} --regen")
     with tempfile.TemporaryDirectory() as tmp:
-        files = {name: describe(data)
+        files = {name: describe(name, data)
                  for name, data in run_golden(Path(tmp)).items()}
     previous = (json.loads(FIXTURE.read_text())["files"]
                 if FIXTURE.exists() else {})
