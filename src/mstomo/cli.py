@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``scan {detuning,time}`` - brightness and parity grids to CSV, from the
-  closed forms at ``nbar = 0`` and one thermal propagation per point
-  otherwise;
+  closed forms at ``nbar = 0`` and otherwise from one displacement operator
+  per point, on one Fock register per scan;
 * ``tomo`` - prepare a labeled input, apply the noisy gate, simulate the
   nine-basis measurement, reconstruct and quantify the state;
 * ``budget`` - complete the laser/atomic error budget;
@@ -43,10 +43,10 @@ from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
 
 SCAN_HEADER = ("t_us", "delta_kHz", "s_av", "parity")
 STATE_LABELS = ("uu", "dd", "ud", "du")
-# largest Fock register a thermal scan may propagate; it grows with nbar and
+# largest Fock register a thermal scan may use; it grows with nbar and
 # eta_omega / |delta|, and the default, noisy.cfg and ideal.cfg grids need at
-# most 848 levels at nbar = 10. At 1,000 levels a complex matrix takes 16 MB,
-# a scan point about 0.4 s and a whole run about 110 MB (2 cores, nbar = 10).
+# most 848 levels at nbar = 10. At 998 levels a complex matrix takes 16 MB,
+# a scan point about 0.12 s and a whole run about 120 MB (2 cores, nbar = 10).
 _MAX_FOCK_LEVELS = 1000
 
 

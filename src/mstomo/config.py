@@ -19,7 +19,8 @@ KHZ = 2.0 * math.pi * 1e3  # kHz (ordinary) -> rad/s
 US = 1e-6  # microseconds -> seconds
 
 # upper bounds of the keys whose size drives memory or time: a thermal scan
-# at nbar = 10 propagates 290 Fock levels (the scan bounds their register)
+# at nbar = 10 averages over 290 initial Fock levels (the scan bounds their
+# register)
 _MAX_NBAR = 10.0
 _MAX_SCAN_POINTS = 10_000
 # the bootstrap builds every resample's generator up front (about 1 kB each)

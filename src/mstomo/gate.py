@@ -13,11 +13,13 @@ The bichromatic spin-dependent force is represented two independent ways:
 
 The two routes are kept strictly independent so each can serve as the
 oracle for the other. Scans (:func:`signal_curves`) use the closed forms
-for ground-state motion and, for a thermal mode, one propagation per grid
-point that yields both signals. The entangling action in the computational
-basis is exposed as a 4x4 unitary (:func:`apply_ideal_gate`);
-spontaneous-scattering and state-preparation imperfections are end-of-gate
-convex mixtures.
+for ground-state motion. For a thermal mode they build one displacement
+operator per grid point, on one register per scan, and read both signals
+from the diagonals of D(alpha) and D(alpha)^2 (:func:`thermal_signals`)
+instead of propagating amplitudes. The entangling action in the
+computational basis is exposed as a 4x4 unitary
+(:func:`apply_ideal_gate`); spontaneous-scattering and state-preparation
+imperfections are end-of-gate convex mixtures.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _quadrature_eigh(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs of the quadrature a + a^dag on levels 0 .. dim-1.
 
     The matrix is real symmetric tridiagonal with off-diagonal sqrt(n). One
-    entry is cached: consecutive scan points mostly share a register size,
+    entry is cached: a thermal scan evaluates every point on one register,
     and the largest register (nbar = 10) keeps about 5 MB alive.
     """
     off = np.sqrt(np.arange(1, dim, dtype=float))
@@ -215,33 +217,30 @@ def spin_motion_product(spin: np.ndarray, n: int, n_max: int) -> SpinMotionState
 
 
 def _force(amps: np.ndarray, t: float, delta: float, alpha_o: float) -> np.ndarray:
-    """Evolve amplitudes for time t under the spin-dependent force.
+    """Evolve amplitudes of shape (4, dim) for time t under the spin-dependent force.
 
-    ``amps`` has shape ``(4, dim)`` or ``(4, dim, k)``: computational spin
-    state, Fock level and, optionally, k independent columns that share one
-    displacement operator. In the gate-diagonal (x) spin basis the evolution
-    is the identity on the aligned states and ``exp(-i Phi) D(+/- alpha)`` on
-    the anti-aligned ones, with ``alpha`` and ``Phi`` the closed-form
-    displacement and trajectory phase. Raises :class:`TruncationError` when
-    any column leaves more than ``_HEALTH_TOL`` in the top Fock level, and
-    ``ValueError`` when a column's norm drifts from 1 beyond 1e-9.
+    In the gate-diagonal (x) spin basis the evolution is the identity on the
+    aligned states and ``exp(-i Phi) D(+/- alpha)`` on the anti-aligned ones,
+    with ``alpha`` and ``Phi`` the closed-form displacement and trajectory
+    phase. Raises :class:`TruncationError` when more than ``_HEALTH_TOL``
+    ends in the top Fock level, and ``ValueError`` when the norm drifts from
+    1 beyond 1e-9.
     """
     alpha = displacement_alpha(t, delta, alpha_o)
     phase = cmath.exp(-1j * trajectory_phase(t, delta, alpha_o))
     d_plus = displacement_operator(alpha, amps.shape[1])
-    amps_x = (_HX2 @ amps.reshape(4, -1)).reshape(amps.shape)
+    amps_x = _HX2 @ amps
     amps_x[1] = phase * (d_plus @ amps_x[1])
     # D(-alpha) = D(alpha)^dag
     amps_x[2] = phase * (d_plus.conj().T @ amps_x[2])
-    out = (_HX2 @ amps_x.reshape(4, -1)).reshape(amps.shape)
+    out = _HX2 @ amps_x
 
     level_pops = np.sum(np.abs(out) ** 2, axis=0)
-    top = float(np.max(level_pops[-1]))
-    if top > _HEALTH_TOL:
+    if level_pops[-1] > _HEALTH_TOL:
         raise TruncationError(
-            f"propagation leaked {top:.2e} into the top Fock level "
+            f"propagation leaked {level_pops[-1]:.2e} into the top Fock level "
             f"(threshold {_HEALTH_TOL:.0e}); enlarge the register")
-    drift = float(np.max(np.abs(np.sqrt(np.sum(level_pops, axis=0)) - 1.0)))
+    drift = abs(math.sqrt(np.sum(level_pops)) - 1.0)
     if drift > 1e-9:
         raise ValueError(f"state norm deviates from 1 by {drift:.2e} beyond 1e-9")
     return out
@@ -324,45 +323,80 @@ def thermal_levels(nbar: float) -> int:
 
 
 def thermal_register_size(alpha_o: float, nbar: float) -> int:
-    """Fock levels :func:`thermal_signals` propagates at displacement scale alpha_o."""
+    """Fock levels :func:`thermal_signals` uses at displacement scale alpha_o."""
     return fock_cutoff(2.0 * abs(alpha_o), thermal_levels(nbar) - 1) + 1
 
 
-def thermal_signals(t: float, delta: float, alpha_o: float,
-                    nbar: float) -> tuple[float, float]:
+def thermal_signals(t, delta, alpha_o, nbar: float):
     """(brightness, parity) averaged over a thermal initial motional state.
 
-    Probability-weighted sum over the initial Fock levels, truncated where
-    the geometric occupation tail drops below ``_TAIL_TOL``. All levels are
-    propagated together, one column each, through one displacement operator
-    (it only depends on t and delta).
+    ``t``, ``delta`` and ``alpha_o`` are scalars, giving two floats, or
+    equal-length arrays of scan points, giving two arrays evaluated on one
+    register sized for the largest ``|alpha_o|``. The average is
+    probability-weighted over the initial Fock levels n < L, truncated where
+    the geometric occupation tail drops below ``_TAIL_TOL``.
+
+    In the gate-diagonal basis uu x |n> has amplitude 1/2 on every spin
+    state; the aligned ones keep |n> and the anti-aligned ones become
+    ``exp(-i Phi) D(+/- alpha) |n>``. Only populations are read, so per level
+    the brightness is ``1 - cos(Phi) Re D_nn`` and the parity
+    ``(1 + Re (D^2)_nn) / 2``, with one displacement operator per point.
+    Raises :class:`TruncationError` when a level n < L would leave more than
+    ``_HEALTH_TOL`` in the top Fock level, and ``ValueError`` when a row or
+    column n < L of D drifts from unit norm beyond 1e-9.
     """
+    scalar = np.ndim(t) == 0
+    t, delta, alpha_o = (np.atleast_1d(np.asarray(x, dtype=float))
+                         for x in (t, delta, alpha_o))
     levels = thermal_levels(nbar)
-    dim = thermal_register_size(alpha_o, nbar)
-    start = np.zeros((4, dim, levels), dtype=complex)
-    start[0, np.arange(levels), np.arange(levels)] = 1.0  # uu x |n>
-    final = _force(start, t, delta, alpha_o)
-    p = np.sum(np.abs(final) ** 2, axis=1) @ thermal_weights(nbar, levels)
-    return populations_to_brightness(p), populations_to_parity(p)
+    dim = thermal_register_size(np.max(np.abs(alpha_o), initial=0.0), nbar)
+    weights = thermal_weights(nbar, levels)
+    total = weights.sum()
+    brightness = np.empty(t.shape)
+    parity = np.empty(t.shape)
+    # d stays bound until the next point's D exists. Releasing it first
+    # saves one register-sized matrix, but lets malloc trim the heap and
+    # fault the pages back in at every point: that doubled the time of a
+    # noisy.cfg scan.
+    for i, (ti, di, ai) in enumerate(zip(t, delta, alpha_o)):
+        d = displacement_operator(displacement_alpha(ti, di, ai), dim)
+        rows, cols = d[:levels], d[:, :levels]
+        # each level n < L puts 1/4 |D_top,n|^2 + 1/4 |D_n,top|^2 in the top level
+        top = 0.25 * float(np.max(np.abs(rows[:, -1]) ** 2 + np.abs(cols[-1]) ** 2))
+        if top > _HEALTH_TOL:
+            raise TruncationError(
+                f"propagation leaked {top:.2e} into the top Fock level "
+                f"(threshold {_HEALTH_TOL:.0e}); enlarge the register")
+        norms = np.concatenate([np.linalg.norm(rows, axis=1),
+                                np.linalg.norm(cols, axis=0)])
+        drift = float(np.max(np.abs(norms - 1.0)))
+        if drift > 1e-9:
+            raise ValueError(f"state norm deviates from 1 by {drift:.2e} beyond 1e-9")
+        # (D^2)_nn = sum_m D_nm D_mn
+        d2_diag = np.einsum("nm,mn->n", rows, cols).real
+        phi = trajectory_phase(ti, di, ai)
+        brightness[i] = total - math.cos(phi) * (weights @ rows.diagonal().real)
+        parity[i] = 0.5 * (total + weights @ d2_diag)
+    if scalar:
+        return float(brightness[0]), float(parity[0])
+    return brightness, parity
 
 
 def signal_curves(params: GateParams, grid,
                   nbar: float) -> tuple[np.ndarray, np.ndarray]:
     """(brightness, parity) arrays over a grid of (t, delta) points.
 
-    For ``nbar = 0`` the closed forms are used; for ``nbar > 0`` each point
-    is one probability-weighted Fock propagation that yields both signals
-    (the closed forms with the (2 nbar + 1)-scaled exponent are candidates
+    For ``nbar = 0`` the closed forms are used; for ``nbar > 0`` the whole
+    grid is one :func:`thermal_signals` call on one Fock register (the
+    closed forms with the (2 nbar + 1)-scaled exponent are candidates
     checked against this route in the tests, not asserted here).
     """
-    values = []
-    for t, delta in grid:
-        alpha_o = params.eta_omega / delta
-        if nbar == 0:
-            values.append((brightness_closed(t, delta, alpha_o),
-                           parity_closed(t, delta, alpha_o)))
-        else:
-            values.append(thermal_signals(t, delta, alpha_o, nbar))
+    t, delta = np.array(grid, dtype=float).reshape(-1, 2).T
+    alpha_o = params.eta_omega / delta
+    if nbar > 0:
+        return thermal_signals(t, delta, alpha_o, nbar)
+    values = [(brightness_closed(*point), parity_closed(*point))
+              for point in zip(t, delta, alpha_o)]
     brightness, parity = np.array(values, dtype=float).reshape(-1, 2).T
     return brightness, parity
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,11 @@ def multinomial(probabilities, n: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Summary of a resampled statistic distribution."""
+    """Summary of a resampled statistic distribution.
+
+    ``failures`` counts the resamples whose statistic raised, by exception
+    type name.
+    """
 
     name: str
     estimate: float
@@ -52,9 +56,13 @@ class BootstrapReport:
     std_error: float
     ci_low: float
     ci_high: float
-    n_failures: int = 0
+    failures: dict[str, int] = field(default_factory=dict)
     valid: bool = True
     samples: tuple[float, ...] | None = None
+
+    @property
+    def n_failures(self) -> int:
+        return sum(self.failures.values())
 
     def to_dict(self) -> dict:
         doc = {
@@ -65,6 +73,7 @@ class BootstrapReport:
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
             "n_failures": self.n_failures,
+            "failures": dict(self.failures),
             "valid": self.valid,
         }
         if self.samples is not None:
@@ -80,10 +89,10 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
     with replacement from that record's empirical outcome distribution, so
     the per-setting structure is preserved. ``statistic`` maps a list of
     records to a float; resamples where it raises ``ValueError``,
-    ``LinAlgError`` or ``ReconstructionError`` are counted and excluded, and
-    more than 5% failures invalidates the report. Any other exception
-    propagates. Fewer than 2 successful resamples raise ``ValueError`` with
-    the failures counted by exception type.
+    ``LinAlgError`` or ``ReconstructionError`` are counted by exception type
+    and excluded, and more than 5% failures invalidates the report. Any
+    other exception propagates. Fewer than 2 successful resamples raise
+    ``ValueError`` with the failures counted by exception type.
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
@@ -107,7 +116,6 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         raise ValueError(f"only {len(values)} of {n_resamples} bootstrap "
                          f"resamples succeeded; failures: {counts}")
     values = np.array(values)
-    n_failures = failures.total()
 
     ci_low, ci_high = np.percentile(values, [2.5, 97.5])
     return BootstrapReport(
@@ -117,7 +125,7 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         std_error=float(np.std(values, ddof=1)),
         ci_low=float(ci_low),
         ci_high=float(ci_high),
-        n_failures=n_failures,
-        valid=n_failures <= 0.05 * n_resamples,
+        failures=dict(failures),
+        valid=failures.total() <= 0.05 * n_resamples,
         samples=tuple(float(v) for v in values) if keep_samples else None,
     )

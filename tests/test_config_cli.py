@@ -1,6 +1,9 @@
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from mstomo import cli, config, core, gate, measures
 from mstomo.config import KHZ, ConfigError, RunConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +164,40 @@ def test_time_scan_parity_returns_at_loop_closures(tmp_path):
     assert data[1, 3] < 1.0
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_thermal_scan_propagates_each_point_once(monkeypatch):
-    calls = []
-    thermal_signals = gate.thermal_signals
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return thermal_signals(*args, **kwargs)
-
-    monkeypatch.setattr(gate, "thermal_signals", counting)
+    calls = Counter()
+    for name in ("thermal_signals", "displacement_operator"):
+        monkeypatch.setattr(gate, name, counting(calls, name, getattr(gate, name)))
     cfg = RunConfig(nbar=0.3, scan_points=7, scan_t_max_us=100.0)
     rows = cli.run_scan(cfg, "time")
     assert len(rows) == 7
-    assert len(calls) == 7
+    assert calls == {"thermal_signals": 1, "displacement_operator": 7}
+
+
+@pytest.mark.parametrize("kind", ["detuning", "time"])
+def test_scan_reaches_the_traced_gate_functions(monkeypatch, kind):
+    # perfbench's traced gate-scan run requires spans of both functions. Its
+    # tracer replaces each function at every mstomo module attribute that
+    # holds it, so a scan must reach them through those attributes.
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "mstomo"]
+    for name in ("thermal_signals", "displacement_operator"):
+        original = getattr(gate, name)
+        wrapper = counting(calls, name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    cfg = config.load_config(CONFIGS / "noisy.cfg")
+    rows = cli.run_scan(cfg, kind)
+    assert len(rows) == cfg.scan_points
+    assert calls == {"thermal_signals": 1, "displacement_operator": cfg.scan_points}
 
 
 def test_zero_point_scan_writes_header_only(tmp_path):
@@ -246,6 +272,7 @@ def test_tomo_bootstrap_report(tmp_path):
     boot = json.loads((tmp_path / "tomo_uu_bootstrap.json").read_text())
     assert boot["valid"] is True
     assert boot["n_resamples"] == 100
+    assert boot["n_failures"] == 0 and boot["failures"] == {}
     assert 0.0 <= boot["std_error"] <= 0.1
 
 

@@ -123,6 +123,26 @@ def test_bootstrap_counts_statistic_failures():
     assert not report.valid
 
 
+def test_bootstrap_reports_failures_by_type():
+    records = [make_record([100, 100, 0, 0])]
+
+    def flaky(resampled):
+        count = resampled[0].counts[0]
+        if count % 5 == 1:
+            raise core.ReconstructionError("fit failed")
+        if count % 7 == 1:
+            raise np.linalg.LinAlgError("singular")
+        return resampled[0].frequencies[0]
+
+    report = sampling.bootstrap(records, 200, flaky, seed=7)
+    assert set(report.failures) == {"ReconstructionError", "LinAlgError"}
+    assert all(n > 0 for n in report.failures.values())
+    assert report.n_failures == sum(report.failures.values())
+    doc = json.loads(json.dumps(report.to_dict()))
+    assert doc["failures"] == report.failures
+    assert doc["n_failures"] == report.n_failures
+
+
 def test_bootstrap_propagates_programming_errors():
     records = [make_record([100, 100, 0, 0])]
 
