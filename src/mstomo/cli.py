@@ -4,7 +4,7 @@ Subcommands:
 
 * ``scan {detuning,time}`` - brightness and parity grids to CSV, from the
   closed forms at ``nbar = 0`` and otherwise from one displacement operator
-  per point, on one Fock register per scan;
+  per point, on Fock registers that neighbouring points share;
 * ``tomo`` - prepare a labeled input, apply the noisy gate, simulate the
   nine-basis measurement, reconstruct and quantify the state;
 * ``budget`` - complete the laser/atomic error budget;
@@ -32,7 +32,7 @@ from .config import KHZ, US, ConfigError, RunConfig, load_config
 from .core import basis_state, density_from_dict, density_to_dict, projector, validate_density
 from .gate import (TruncationError, apply_contrast, apply_ideal_gate,
                    error_budget, prep_error_channel, scattering_channel,
-                   signal_curves, thermal_register_size)
+                   scan_registers, signal_curves)
 from .measures import MeasuresReport, analyze, fit_target_phase, parity_class
 from .sampling import BootstrapReport, bootstrap
 from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
@@ -69,8 +69,8 @@ def run_scan(cfg: RunConfig, kind: str) -> list[tuple[float, float, float, float
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
     if cfg.nbar > 0 and grid:
-        alpha_max = params.eta_omega / min(abs(d) for _, d in grid)
-        size = thermal_register_size(alpha_max, cfg.nbar)
+        alpha_o = params.eta_omega / np.array([d for _, d in grid])
+        size = int(scan_registers(alpha_o, cfg.nbar).max())
         if size > _MAX_FOCK_LEVELS:
             keys = "delta_khz" if kind == "time" else "scan_delta_min_khz/scan_delta_max_khz"
             raise ConfigError(f"{keys} too close to zero: the thermal scan needs "

@@ -14,7 +14,8 @@ The bichromatic spin-dependent force is represented two independent ways:
 The two routes are kept strictly independent so each can serve as the
 oracle for the other. Scans (:func:`signal_curves`) use the closed forms
 for ground-state motion. For a thermal mode they build one displacement
-operator per grid point, on one register per scan, and read both signals
+operator per grid point, on registers that neighbouring points share
+(:func:`scan_registers`), and read both signals
 from the diagonals of D(alpha) and D(alpha)^2 (:func:`thermal_signals`)
 instead of propagating amplitudes. The entangling action in the
 computational basis is exposed as a 4x4 unitary
@@ -42,6 +43,9 @@ _HX2 = kron(_HX, _HX)
 
 _HEALTH_TOL = 1e-6  # largest population allowed in the top Fock level
 _TAIL_TOL = 1e-12  # largest thermal occupation left out of a thermal average
+# largest ratio of a shared Fock register to a scan point's own register; a
+# point's D then costs at most 1.25^3, about twice, its own register's
+_REGISTER_SHARE = 1.25
 
 
 class TruncationError(RuntimeError):
@@ -147,8 +151,9 @@ def _quadrature_eigh(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs of the quadrature a + a^dag on levels 0 .. dim-1.
 
     The matrix is real symmetric tridiagonal with off-diagonal sqrt(n). One
-    entry is cached: a thermal scan evaluates every point on one register,
-    and the largest register (nbar = 10) keeps about 5 MB alive.
+    entry is cached: a thermal scan evaluates the points that share a
+    register one after another, and the largest register (nbar = 10) keeps
+    about 5 MB alive.
     """
     off = np.sqrt(np.arange(1, dim, dtype=float))
     values, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -323,16 +328,36 @@ def thermal_levels(nbar: float) -> int:
 
 
 def thermal_register_size(alpha_o: float, nbar: float) -> int:
-    """Fock levels :func:`thermal_signals` uses at displacement scale alpha_o."""
+    """Fock levels a thermal point at displacement scale alpha_o needs."""
     return fock_cutoff(2.0 * abs(alpha_o), thermal_levels(nbar) - 1) + 1
+
+
+def scan_registers(alpha_o, nbar: float) -> np.ndarray:
+    """Fock register of each scan point at displacement scales ``alpha_o``.
+
+    Each point needs :func:`thermal_register_size` levels. Taken from the
+    largest need down, points share a register while it is at most
+    ``_REGISTER_SHARE`` times their own, so a scan whose needs span a factor
+    F solves about log(F) / log(1.25) + 1 eigenproblems, and its largest
+    register is the largest need.
+    """
+    own = np.array([thermal_register_size(a, nbar) for a in np.ravel(alpha_o)],
+                   dtype=int)
+    registers = np.empty_like(own)
+    register = np.max(own, initial=0)
+    for i in np.argsort(-own, kind="stable"):
+        if register > _REGISTER_SHARE * own[i]:
+            register = own[i]
+        registers[i] = register
+    return registers
 
 
 def thermal_signals(t, delta, alpha_o, nbar: float):
     """(brightness, parity) averaged over a thermal initial motional state.
 
     ``t``, ``delta`` and ``alpha_o`` are scalars, giving two floats, or
-    equal-length arrays of scan points, giving two arrays evaluated on one
-    register sized for the largest ``|alpha_o|``. The average is
+    equal-length arrays of scan points, giving two arrays; each point is
+    evaluated on its register from :func:`scan_registers`. The average is
     probability-weighted over the initial Fock levels n < L, truncated where
     the geometric occupation tail drops below ``_TAIL_TOL``.
 
@@ -349,17 +374,19 @@ def thermal_signals(t, delta, alpha_o, nbar: float):
     t, delta, alpha_o = (np.atleast_1d(np.asarray(x, dtype=float))
                          for x in (t, delta, alpha_o))
     levels = thermal_levels(nbar)
-    dim = thermal_register_size(np.max(np.abs(alpha_o), initial=0.0), nbar)
+    registers = scan_registers(alpha_o, nbar)
     weights = thermal_weights(nbar, levels)
     total = weights.sum()
     brightness = np.empty(t.shape)
     parity = np.empty(t.shape)
-    # d stays bound until the next point's D exists. Releasing it first
-    # saves one register-sized matrix, but lets malloc trim the heap and
-    # fault the pages back in at every point: that doubled the time of a
-    # noisy.cfg scan.
-    for i, (ti, di, ai) in enumerate(zip(t, delta, alpha_o)):
-        d = displacement_operator(displacement_alpha(ti, di, ai), dim)
+    # points sharing a register run consecutively, so the one cached
+    # eigendecomposition serves them all. d stays bound until the next
+    # point's D exists: releasing it first saves one register-sized matrix,
+    # but lets malloc trim the heap and fault the pages back in at every
+    # point, which doubled the time of a noisy.cfg scan.
+    for i in np.argsort(-registers, kind="stable"):
+        ti, di, ai = t[i], delta[i], alpha_o[i]
+        d = displacement_operator(displacement_alpha(ti, di, ai), int(registers[i]))
         rows, cols = d[:levels], d[:, :levels]
         # each level n < L puts 1/4 |D_top,n|^2 + 1/4 |D_n,top|^2 in the top level
         top = 0.25 * float(np.max(np.abs(rows[:, -1]) ** 2 + np.abs(cols[-1]) ** 2))
@@ -387,9 +414,9 @@ def signal_curves(params: GateParams, grid,
     """(brightness, parity) arrays over a grid of (t, delta) points.
 
     For ``nbar = 0`` the closed forms are used; for ``nbar > 0`` the whole
-    grid is one :func:`thermal_signals` call on one Fock register (the
-    closed forms with the (2 nbar + 1)-scaled exponent are candidates
-    checked against this route in the tests, not asserted here).
+    grid is one :func:`thermal_signals` call (the closed forms with the
+    (2 nbar + 1)-scaled exponent are candidates checked against this route
+    in the tests, not asserted here).
     """
     t, delta = np.array(grid, dtype=float).reshape(-1, 2).T
     alpha_o = params.eta_omega / delta

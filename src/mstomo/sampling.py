@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,8 @@ def multinomial(probabilities, n: int, rng: np.random.Generator) -> np.ndarray:
 class BootstrapReport:
     """Summary of a resampled statistic distribution.
 
-    ``failures`` counts the resamples whose statistic raised, by exception
-    type name.
+    ``n_failures`` resamples had a statistic that raised; ``failures`` breaks
+    them down as sorted (exception type name, count) pairs.
     """
 
     name: str
@@ -56,13 +56,10 @@ class BootstrapReport:
     std_error: float
     ci_low: float
     ci_high: float
-    failures: dict[str, int] = field(default_factory=dict)
+    n_failures: int = 0
     valid: bool = True
     samples: tuple[float, ...] | None = None
-
-    @property
-    def n_failures(self) -> int:
-        return sum(self.failures.values())
+    failures: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
         doc = {
@@ -116,6 +113,7 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         raise ValueError(f"only {len(values)} of {n_resamples} bootstrap "
                          f"resamples succeeded; failures: {counts}")
     values = np.array(values)
+    n_failures = failures.total()
 
     ci_low, ci_high = np.percentile(values, [2.5, 97.5])
     return BootstrapReport(
@@ -125,7 +123,8 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         std_error=float(np.std(values, ddof=1)),
         ci_low=float(ci_low),
         ci_high=float(ci_high),
-        failures=dict(failures),
-        valid=failures.total() <= 0.05 * n_resamples,
+        n_failures=n_failures,
+        valid=n_failures <= 0.05 * n_resamples,
         samples=tuple(float(v) for v in values) if keep_samples else None,
+        failures=tuple(sorted(failures.items())),
     )

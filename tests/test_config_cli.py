@@ -172,17 +172,6 @@ def counting(calls, name, fn):
 
 
 def test_thermal_scan_propagates_each_point_once(monkeypatch):
-    calls = Counter()
-    for name in ("thermal_signals", "displacement_operator"):
-        monkeypatch.setattr(gate, name, counting(calls, name, getattr(gate, name)))
-    cfg = RunConfig(nbar=0.3, scan_points=7, scan_t_max_us=100.0)
-    rows = cli.run_scan(cfg, "time")
-    assert len(rows) == 7
-    assert calls == {"thermal_signals": 1, "displacement_operator": 7}
-
-
-@pytest.mark.parametrize("kind", ["detuning", "time"])
-def test_scan_reaches_the_traced_gate_functions(monkeypatch, kind):
     # perfbench's traced gate-scan run requires spans of both functions. Its
     # tracer replaces each function at every mstomo module attribute that
     # holds it, so a scan must reach them through those attributes.
@@ -194,10 +183,13 @@ def test_scan_reaches_the_traced_gate_functions(monkeypatch, kind):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    cfg = config.load_config(CONFIGS / "noisy.cfg")
-    rows = cli.run_scan(cfg, kind)
-    assert len(rows) == cfg.scan_points
-    assert calls == {"thermal_signals": 1, "displacement_operator": cfg.scan_points}
+    noisy = config.load_config(CONFIGS / "noisy.cfg")
+    short = RunConfig(nbar=0.3, scan_points=7, scan_t_max_us=100.0)
+    for cfg, kind in ((noisy, "detuning"), (noisy, "time"), (short, "time")):
+        calls.clear()
+        rows = cli.run_scan(cfg, kind)
+        assert len(rows) == cfg.scan_points
+        assert calls == {"thermal_signals": 1, "displacement_operator": cfg.scan_points}
 
 
 def test_zero_point_scan_writes_header_only(tmp_path):

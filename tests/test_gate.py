@@ -176,9 +176,10 @@ def test_displacement_operator_matches_matrix_exponential(rng):
             assert np.abs(gate.displacement_operator(alpha, dim) - expected).max() < 1e-12
 
 
-@pytest.mark.parametrize("kind, solves", [("time", 1), ("detuning", 1)])
+@pytest.mark.parametrize("kind, solves", [("time", 1), ("detuning", 2)])
 def test_scan_solves_one_eigenproblem_per_register_size(monkeypatch, kind, solves):
-    # a thermal scan evaluates every point on one register
+    # the time scan keeps one register; the detuning scan's points need 84 to
+    # 121 levels and share two registers
     cfg = config.load_config(CONFIGS / "noisy.cfg")
     gate._quadrature_eigh.cache_clear()
     calls = []
@@ -357,8 +358,20 @@ def test_thermal_signals_match_amplitude_propagation(rng, nbar):
         assert abs(parity[i] - p_ref) < 1e-13
 
 
+@pytest.mark.parametrize("nbar", [0.3, 10.0])
+def test_scan_registers_bound_each_point_and_stay_few(nbar):
+    # a wide detuning grid: its points need registers spanning a factor of 8-10
+    alpha_o = TWO_PI * 6.3e3 / (TWO_PI * 1e3 * np.linspace(0.6, 22.0, 69))
+    own = np.array([gate.thermal_register_size(a, nbar) for a in alpha_o])
+    registers = gate.scan_registers(alpha_o, nbar)
+    assert np.all(own <= registers) and np.all(registers <= 1.25 * own)
+    assert registers.max() == own.max()
+    span = own.max() / own.min()
+    assert len(set(registers)) <= math.log(span) / math.log(1.25) + 1
+
+
 def test_thermal_scan_matches_pointwise_calls(rng):
-    # the array call shares the register of the largest |alpha_o|
+    # the array call shares registers between neighbouring points
     t, delta, alpha_o = random_scan(rng, 12)
     brightness, parity = gate.thermal_signals(t, delta, alpha_o, 0.3)
     for i in range(len(t)):
