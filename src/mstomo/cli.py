@@ -12,7 +12,7 @@ Subcommands:
 
 Every command is a pure function of (config, seed); all output files embed
 or sidecar the configuration that produced them. Exit codes: 0 success, 1
-configuration error, 2 numerical failure.
+configuration or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def run_scan(cfg: RunConfig, kind: str) -> list[tuple[float, float, float, float
     if kind == "detuning":
         deltas = np.linspace(cfg.scan_delta_min_khz, cfg.scan_delta_max_khz,
                              cfg.scan_points)
-        if (deltas == 0).any():
-            raise ConfigError("detuning scan range must not cross zero")
         grid = [(cfg.scan_t_us * US, d * KHZ) for d in deltas]
     elif kind == "time":
         times = np.linspace(cfg.scan_t_min_us, cfg.scan_t_max_us, cfg.scan_points)
@@ -73,8 +71,9 @@ def run_scan(cfg: RunConfig, kind: str) -> list[tuple[float, float, float, float
         size = int(scan_registers(alpha_o, cfg.nbar).max())
         if size > _MAX_FOCK_LEVELS:
             keys = "delta_khz" if kind == "time" else "scan_delta_min_khz/scan_delta_max_khz"
-            raise ConfigError(f"{keys} too close to zero: the thermal scan needs "
-                              f"{size} Fock levels, above {_MAX_FOCK_LEVELS}")
+            raise ConfigError(f"the thermal scan needs {size} Fock levels, above "
+                              f"{_MAX_FOCK_LEVELS}: lower eta_omega_khz or nbar, "
+                              f"or move {keys} away from zero")
 
     brightness, parity = signal_curves(params, grid, cfg.nbar)
     s_av = apply_contrast(brightness, cfg.contrast, cfg.offset)
@@ -167,50 +166,26 @@ def write_tomography(out: Path, cfg: RunConfig, result: PipelineResult,
     """Write the counts CSV and JSON documents of one pipeline run."""
     cfg_doc = cfg.to_dict()
     stem = f"tomo_{result.label}"
-    written = []
-
-    counts_path = out / f"{stem}_counts.csv"
-    write_counts_csv(counts_path, result.records)
-    written.append(counts_path)
-
-    density_doc = density_to_dict(result.fit.rho)
-    density_doc["diagnostics"] = {
-        "objective": result.fit.objective,
-        "iterations": result.fit.iterations,
-        "converged": result.fit.converged,
-    }
-    density_doc["config"] = cfg_doc
-    density_path = out / f"{stem}_density.json"
-    write_json(density_path, density_doc)
-    written.append(density_path)
-
-    measures_doc = result.report.to_dict()
-    measures_doc["config"] = cfg_doc
-    measures_path = out / f"{stem}_measures.json"
-    write_json(measures_path, measures_doc)
-    written.append(measures_path)
-
+    fit, linear = result.fit, result.linear
+    documents = [
+        ("density", {**density_to_dict(fit.rho), "diagnostics": {
+            "objective": fit.objective, "iterations": fit.iterations,
+            "converged": fit.converged}}),
+        ("measures", result.report.to_dict()),
+    ]
     if result.boot is not None:
-        boot_doc = result.boot.to_dict()
-        boot_doc["config"] = cfg_doc
-        boot_path = out / f"{stem}_bootstrap.json"
-        write_json(boot_path, boot_doc)
-        written.append(boot_path)
-
+        documents.append(("bootstrap", result.boot.to_dict()))
     if emit_intermediate:
-        linear_doc = density_to_dict(result.linear.rho)
-        linear_doc["diagnostics"] = {
-            "min_eigenvalue": result.linear.min_eigenvalue,
-            "physical": result.linear.physical,
-        }
-        linear_doc["config"] = cfg_doc
-        linear_path = out / f"{stem}_linear.json"
-        write_json(linear_path, linear_doc)
-        written.append(linear_path)
+        documents.append(("linear", {**density_to_dict(linear.rho), "diagnostics": {
+            "min_eigenvalue": linear.min_eigenvalue, "physical": linear.physical}}))
 
-    sidecar = out / f"{stem}.config.json"
-    write_json(sidecar, cfg_doc)
-    written.append(sidecar)
+    written = [out / f"{stem}_counts.csv"]
+    write_counts_csv(written[0], result.records)
+    for suffix, doc in documents:
+        written.append(out / f"{stem}_{suffix}.json")
+        write_json(written[-1], {**doc, "config": cfg_doc})
+    written.append(out / f"{stem}.config.json")
+    write_json(written[-1], cfg_doc)
     return written
 
 
@@ -274,21 +249,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=Path, help="key-value configuration file")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--out", type=Path, default=Path("."),
-                       help="output directory (created if missing)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("."),
+                     help="output directory (created if missing)")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
+    common.add_argument("--config", type=Path, help="key-value configuration file")
 
-    p_scan = sub.add_parser("scan", help="brightness/parity grid scans")
+    p_scan = sub.add_parser("scan", parents=[common],
+                            help="brightness/parity grid scans")
     p_scan.add_argument("kind", choices=("detuning", "time"))
-    common(p_scan)
 
-    p_tomo = sub.add_parser("tomo", help="end-to-end tomography of one target")
-    common(p_tomo)
+    p_tomo = sub.add_parser("tomo", parents=[common],
+                            help="end-to-end tomography of one target")
     p_tomo.add_argument("--state", choices=STATE_LABELS, default="uu",
                         help="computational input state fed to the gate")
-    p_tomo.add_argument("--shots", type=int, help="override shots per setting")
+    p_tomo.add_argument("--seed", type=int, help="override the configured seed")
     p_tomo.add_argument("--resamples", type=int,
                         help="override bootstrap resample count")
     p_tomo.add_argument("--no-bootstrap", action="store_true",
@@ -296,11 +271,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--emit-intermediate", action="store_true",
                         help="also write the linear-inversion estimate")
 
-    p_budget = sub.add_parser("budget", help="laser/atomic error budget")
-    common(p_budget)
+    sub.add_parser("budget", parents=[common], help="laser/atomic error budget")
 
-    p_an = sub.add_parser("analyze", help="measures of a density-matrix JSON")
-    common(p_an)
+    p_an = sub.add_parser("analyze", parents=[out],
+                          help="measures of a density-matrix JSON")
     p_an.add_argument("--density", type=Path, required=True,
                       help="density-matrix JSON to analyze")
     p_an.add_argument("--state", choices=STATE_LABELS, default="uu",
@@ -309,23 +283,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
+    """The configuration file of ``args``, with tomo's overrides applied."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        overrides["shots"] = args.shots
-    if getattr(args, "resamples", None) is not None:
-        overrides["bootstrap_resamples"] = args.resamples
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    if args.command != "tomo":
+        return cfg
+    overrides = {"seed": args.seed, "bootstrap_resamples": args.resamples}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help and --version exit 0
+            raise
+        return 1  # a usage error; exit 2 means a numerical failure
+    try:
+        cfg = None if args.command == "analyze" else _load(args)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
 

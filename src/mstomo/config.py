@@ -10,7 +10,9 @@ for optional values.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 from .gate import ErrorBudget, GateParams, gate_operating_point
 from .tomography import DetectionModel
@@ -29,6 +31,8 @@ _MAX_BOOTSTRAP_RESAMPLES = 10_000
 # a tomo run takes the same time from 200 to 1e12 shots per setting; at 1e13
 # the fit needs 2-5x the iterations, so the bound keeps a 1000x margin
 _MAX_SHOTS = 10 ** 9
+# the ErrorBudget inputs whose config keys are in kHz
+_SI_INPUT = re.compile(r"\b(gamma|delta_raman|omega_hf)\b")
 
 
 class ConfigError(ValueError):
@@ -108,6 +112,11 @@ class RunConfig:
             raise ConfigError(f"scan_points must be in [0, {_MAX_SCAN_POINTS}]")
         if not 0 <= self.nbar <= _MAX_NBAR:
             raise ConfigError(f"nbar must be in [0, {_MAX_NBAR:g}]")
+        low, high = self.scan_delta_min_khz, self.scan_delta_max_khz
+        if 0 in (low, high) or (low > 0) != (high > 0):
+            raise ConfigError("scan_delta_min_khz and scan_delta_max_khz must be "
+                              "nonzero and of one sign")
+        self.budget()  # ErrorBudget's checks of the budget inputs
 
     def gate_params(self) -> GateParams:
         """GateParams in SI units; detuning defaults to the operating point."""
@@ -131,24 +140,24 @@ class RunConfig:
                 tau_g=self.gate_params().tau_g,
                 kappa=self.kappa)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            # name the config key, gamma_khz for ErrorBudget's gamma
+            raise ConfigError(_SI_INPUT.sub(r"\1_khz", str(exc))) from exc
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_OPTIONAL = ("delta_khz", "dnu_st_khz")
-_INT_FIELDS = ("m", "shots", "control_shots",
-               "bootstrap_resamples", "seed", "scan_points")
+# key -> annotation: int, float or float | None
+_TYPES = get_type_hints(RunConfig)
 
 
 def _coerce(name: str, text: str):
     text = text.strip()
     if text.lower() in ("none", ""):
-        if name not in _OPTIONAL:
+        if type(None) not in get_args(_TYPES[name]):
             raise ConfigError(f"{name} cannot be none")
         return None
-    kind = int if name in _INT_FIELDS else float
+    kind = int if _TYPES[name] is int else float
     try:
         return kind(text)
     except ValueError as exc:
@@ -157,7 +166,6 @@ def _coerce(name: str, text: str):
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse ``key = value`` lines into a RunConfig (defaults from ``base``)."""
-    known = {f.name for f in fields(RunConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,16 +174,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _coerce(key, value)
-    base = base if base is not None else RunConfig()
-    try:
-        return replace(base, **updates)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(base if base is not None else RunConfig(), **updates)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -512,7 +512,8 @@ class ErrorBudget:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.delta_raman <= self.gamma:
-            raise ValueError("Raman detuning must greatly exceed the linewidth")
+            raise ValueError("Raman detuning delta_raman must greatly exceed "
+                             "the linewidth gamma")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
 

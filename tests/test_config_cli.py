@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_config_validation():
     ("bootstrap_resamples = 10001", ["tomo", "--no-bootstrap"]),
     ("shots = 1000000001", ["tomo", "--no-bootstrap"]),
     ("control_shots = 1000000001", ["tomo", "--no-bootstrap"]),
+    ("epsilon = -1", ["tomo", "--no-bootstrap"]),
+    ("delta_raman_khz = 1", ["scan", "time"]),
+    ("scan_delta_max_khz = -1", ["budget"]),
 ])
 def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, argv):
     cfg_path = tmp_path / "bad.cfg"
@@ -86,6 +90,7 @@ def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, 
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # values each validated key accepts; every other key takes any finite float
 _VALID = {
     "eta_omega_khz": st.floats(1e-3, 1e3),
@@ -103,6 +108,14 @@ _VALID = {
     "seed": st.integers(0, 2 ** 63),
     "scan_points": st.integers(0, 10_000),
     "dnu_st_khz": st.none() | _FINITE,
+    "scan_delta_min_khz": _POSITIVE,
+    "scan_delta_max_khz": _POSITIVE,
+    "gamma_khz": st.floats(0.0, 1e6, exclude_min=True),
+    "delta_raman_khz": st.floats(1e6, exclude_min=True, allow_infinity=False),
+    "epsilon": _POSITIVE,
+    "zeta": _POSITIVE,
+    "eta_ld": _POSITIVE,
+    "omega_hf_khz": _POSITIVE,
 }
 
 
@@ -114,6 +127,62 @@ def test_valid_config_round_trips_through_text(values):
     text = "\n".join(f"{key} = {'none' if value is None else repr(value)}"
                      for key, value in cfg.to_dict().items())
     assert config.parse_config(text) == cfg
+
+
+def _at_most(high, exclude=False):
+    return st.floats(max_value=high, exclude_max=exclude, allow_infinity=False)
+
+
+def _beyond(low, high):
+    """Finite floats outside the closed range [low, high]."""
+    return _at_most(low, exclude=True) | st.floats(min_value=high, exclude_min=True,
+                                                   allow_infinity=False)
+
+
+# values just outside each key's range, with every other key at its default
+# (scan_delta_max_khz = 24, gamma_khz = 6e4, delta_raman_khz = 2e8)
+_OUTSIDE = {
+    "eta_omega_khz": _at_most(0.0),
+    "delta_khz": st.just(0.0),
+    "m": st.integers(max_value=0),
+    "nbar": _beyond(0.0, 10.0),
+    "p_sc": _beyond(0.0, 1.0),
+    "kappa": _beyond(0.0, 1.0),
+    "f_prep": _beyond(0.25, 1.0),
+    "det_fid_q1": _beyond(0.5, 1.0),
+    "det_fid_q2": _beyond(0.5, 1.0),
+    "shots": st.integers(max_value=0) | st.integers(min_value=10 ** 9 + 1),
+    "control_shots": st.integers(max_value=0) | st.integers(min_value=10 ** 9 + 1),
+    "bootstrap_resamples": st.integers(max_value=99) | st.integers(min_value=10_001),
+    "seed": st.integers(max_value=-1),
+    "scan_points": st.integers(max_value=-1) | st.integers(min_value=10_001),
+    "scan_delta_min_khz": _at_most(0.0),
+    "scan_delta_max_khz": _at_most(0.0),
+    "gamma_khz": _at_most(0.0) | st.floats(min_value=2e8, allow_infinity=False),
+    "delta_raman_khz": _at_most(6e4),
+    "epsilon": _at_most(0.0),
+    "zeta": _at_most(0.0),
+    "eta_ld": _at_most(0.0),
+    "omega_hf_khz": _at_most(0.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_OUTSIDE)).flatmap(
+    lambda key: st.tuples(st.just(key), _OUTSIDE[key])))
+def test_out_of_range_value_names_its_key(item):
+    key, value = item
+    with pytest.raises(ConfigError, match=key):
+        config.parse_config(f"{key} = {value!r}")
+
+
+def test_non_finite_value_names_its_key():
+    float_keys = [k for k, kind in get_type_hints(RunConfig).items() if kind is not int]
+    assert len(float_keys) == 24
+    for key in float_keys:
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                config.parse_config(f"{key} = {text}")
 
 
 def test_load_config_missing_file(tmp_path):
@@ -204,10 +273,12 @@ def test_zero_point_scan_writes_header_only(tmp_path):
     ("nbar = 0.3\nscan_delta_min_khz = 0.1\nscan_points = 3\n", "detuning",
      "scan_delta_min_khz/scan_delta_max_khz"),
     ("nbar = 0.3\ndelta_khz = -0.1\nscan_points = 3\n", "time", "delta_khz"),
-], ids=["detuning", "time"])
+    ("nbar = 0.3\neta_omega_khz = 1e4\n", "detuning", "eta_omega_khz"),
+], ids=["detuning", "time", "eta_omega"])
 def test_scan_rejects_oversized_fock_register(tmp_path, capsys, monkeypatch,
                                               lines, kind, key):
-    # both grids need 18,441 levels, 5.4 GB per complex matrix
+    # the first two grids need 18,441 levels, 5.4 GB per complex matrix; the
+    # strong drive needs 25,077,502 levels on the default 4-24 kHz grid
     def refuse(dim):
         raise AssertionError(f"built a {dim}-level register")
 
@@ -215,15 +286,30 @@ def test_scan_rejects_oversized_fock_register(tmp_path, capsys, monkeypatch,
     cfg_path = tmp_path / "scan.cfg"
     cfg_path.write_text(lines)
     assert run_cli("scan", kind, "--config", cfg_path, "--out", tmp_path) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "nbar" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
 def test_scan_range_crossing_zero_fails(tmp_path):
+    # 9 points put one on zero; 8 points straddle it
     cfg_path = tmp_path / "scan.cfg"
-    cfg_path.write_text("scan_delta_min_khz = -4\nscan_delta_max_khz = 4\n"
-                        "scan_points = 9\n")
-    assert run_cli("scan", "detuning", "--config", cfg_path, "--out", tmp_path) == 1
+    for points in (9, 8):
+        cfg_path.write_text("scan_delta_min_khz = -4\nscan_delta_max_khz = 4\n"
+                            f"scan_points = {points}\n")
+        assert run_cli("scan", "detuning", "--config", cfg_path,
+                       "--out", tmp_path) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    assert run_cli("tomo", "--seed", "abc", "--out", tmp_path) == 1
+    assert run_cli("scan", "time", "--seed", "1", "--out", tmp_path) == 1
+    assert "usage" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--version")
+    assert exc.value.code == 0
 
 
 # ---------------------------------------------------------------------------
