@@ -7,7 +7,7 @@ Subcommands:
   per point, on Fock registers that neighbouring points share;
 * ``tomo`` - prepare a labeled input, apply the noisy gate, simulate the
   nine-basis measurement, reconstruct and quantify the state;
-* ``budget`` - complete the laser/atomic error budget;
+* ``budget`` - the laser/atomic error budget and the noise figures it implies;
 * ``analyze`` - entanglement measures of an existing density-matrix JSON.
 
 Every command is a pure function of (config, seed); all output files embed
@@ -31,15 +31,13 @@ from . import __version__
 from .config import KHZ, US, ConfigError, RunConfig, load_config
 from .core import basis_state, density_from_dict, density_to_dict, projector, validate_density
 from .gate import (TruncationError, apply_contrast, apply_ideal_gate,
-                   error_budget, prep_error_channel, scattering_channel,
-                   scan_registers, signal_curves)
+                   prep_error_channel, scattering_channel, scan_registers, signal_curves)
 from .measures import MeasuresReport, analyze, fit_target_phase, parity_class
 from .sampling import BootstrapReport, bootstrap
-from .tomography import (SETTINGS, CalibrationResult, CountsRecord,
-                         LinearInversionResult, ReconstructionError,
-                         TomographyResult, calibrate_detection,
-                         linear_inversion, mle_fit, simulate_counts,
-                         write_counts_csv)
+from .tomography import (SETTINGS, CountsRecord, LinearInversionResult,
+                         ReconstructionError, TomographyResult,
+                         calibrate_detection, linear_inversion, mle_fit,
+                         simulate_counts, write_counts_csv)
 
 SCAN_HEADER = ("t_us", "delta_kHz", "s_av", "parity")
 STATE_LABELS = ("uu", "dd", "ud", "du")
@@ -99,12 +97,10 @@ def write_json(path: Path, payload: dict) -> None:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything one tomography run produces."""
+    """The records, estimates and reports of one tomography run."""
 
     label: str
-    rho_true: np.ndarray
     records: list[CountsRecord]
-    calibration: CalibrationResult
     linear: LinearInversionResult
     fit: TomographyResult
     report: MeasuresReport
@@ -157,8 +153,7 @@ def run_tomography(cfg: RunConfig, label: str,
 
         boot = bootstrap(records, cfg.bootstrap_resamples, statistic,
                          boot_seed, name=f"fidelity_{label}")
-    return PipelineResult(label, rho_true, records, calibration, linear,
-                          fit, report, boot)
+    return PipelineResult(label, records, linear, fit, report, boot)
 
 
 def write_tomography(out: Path, cfg: RunConfig, result: PipelineResult,
@@ -194,8 +189,8 @@ def write_tomography(out: Path, cfg: RunConfig, result: PipelineResult,
 # ---------------------------------------------------------------------------
 
 def budget_table(cfg: RunConfig) -> tuple[str, dict]:
-    """Human-readable table and JSON document of the completed error budget."""
-    done = error_budget(cfg.budget())
+    """Human-readable table and JSON document of the error budget."""
+    done = cfg.budget()
     doc = {
         "beta": done.beta,
         "gamma_sc_per_s": done.gamma_sc,
@@ -207,16 +202,12 @@ def budget_table(cfg: RunConfig) -> tuple[str, dict]:
         "phi_st_rad": done.phi_st,
         "predicted_infidelity": done.infidelity,
     }
+    rows = [("beta", done.beta), ("gamma_sc (1/s)", done.gamma_sc),
+            ("p_sc (theory)", done.p_sc_theory), ("p_sc (inferred)", done.p_sc_inferred),
+            ("phi_st (rad)", done.phi_st), ("phi_st (pi)", done.phi_st / math.pi),
+            ("predicted 1 - F", done.infidelity)]
     lines = [f"{'quantity':<28}{'value':>14}"]
-    lines.append(f"{'beta':<28}{done.beta:>14.4g}")
-    if done.gamma_sc is not None:
-        lines.append(f"{'gamma_sc (1/s)':<28}{done.gamma_sc:>14.4g}")
-    lines.append(f"{'p_sc (theory)':<28}{done.p_sc_theory:>14.4g}")
-    if done.p_sc_inferred is not None:
-        lines.append(f"{'p_sc (inferred)':<28}{done.p_sc_inferred:>14.4g}")
-    lines.append(f"{'phi_st (rad)':<28}{done.phi_st:>14.4g}")
-    lines.append(f"{'phi_st (pi)':<28}{done.phi_st / math.pi:>14.4g}")
-    lines.append(f"{'predicted 1 - F':<28}{done.infidelity:>14.4g}")
+    lines += [f"{name:<28}{value:>14.4g}" for name, value in rows if value is not None]
     return "\n".join(lines), doc
 
 

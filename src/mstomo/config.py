@@ -32,7 +32,7 @@ _MAX_BOOTSTRAP_RESAMPLES = 10_000
 # the fit needs 2-5x the iterations, so the bound keeps a 1000x margin
 _MAX_SHOTS = 10 ** 9
 # the ErrorBudget inputs whose config keys are in kHz
-_SI_INPUT = re.compile(r"\b(gamma|delta_raman|omega_hf)\b")
+_SI_INPUT = re.compile(r"\b(gamma|delta_raman|omega_hf|dnu_st)\b")
 
 
 class ConfigError(ValueError):
@@ -116,7 +116,7 @@ class RunConfig:
         if 0 in (low, high) or (low > 0) != (high > 0):
             raise ConfigError("scan_delta_min_khz and scan_delta_max_khz must be "
                               "nonzero and of one sign")
-        self.budget()  # ErrorBudget's checks of the budget inputs
+        self.budget()  # ErrorBudget's checks of the budget inputs and of p_sc
 
     def gate_params(self) -> GateParams:
         """GateParams in SI units; detuning defaults to the operating point."""

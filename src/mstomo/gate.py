@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -483,8 +483,12 @@ class ErrorBudget:
     differential Stark shift ``dnu_st`` (optional), gate time ``tau_g``
     (optional) and residual post-scatter overlap ``kappa``.
 
-    :func:`error_budget` fills the derived fields (``beta``, scattering
-    probability, Stark phase, predicted infidelity).
+    The noise figures derive from them: beta = sqrt(2) pi / (epsilon zeta
+    eta); the theoretical scattering probability is 2 beta gamma / Delta and
+    the Stark phase beta omega_hf / Delta. When a measured Stark shift is
+    supplied, phi_st = dnu_st tau_g and the scattering probability inferred
+    from it is phi_st 2 gamma / omega_hf. The predicted infidelity is
+    (1 - kappa) p_sc.
     """
 
     gamma: float
@@ -497,16 +501,6 @@ class ErrorBudget:
     tau_g: float | None = None
     kappa: float = 0.27
 
-    beta: float | None = None
-    gamma_sc: float | None = None
-    p_sc_theory: float | None = None
-    p_sc_inferred: float | None = None
-    p_sc: float | None = None
-    phi_st_theory: float | None = None
-    phi_st_measured: float | None = None
-    phi_st: float | None = None
-    infidelity: float | None = None
-
     def __post_init__(self):
         for name in ("gamma", "delta_raman", "epsilon", "zeta", "eta_ld", "omega_hf"):
             if getattr(self, name) <= 0:
@@ -516,36 +510,52 @@ class ErrorBudget:
                              "the linewidth gamma")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
+        if not 0.0 <= self.p_sc <= 1.0:
+            inputs = ("epsilon, zeta, eta_ld, gamma and delta_raman"
+                      if self.p_sc_inferred is None else "dnu_st, tau_g, gamma and omega_hf")
+            raise ValueError(f"scattering probability {self.p_sc:.6g} from {inputs} "
+                             "is outside [0, 1]")
+
+    @property
+    def beta(self) -> float:
+        product = self.epsilon * self.zeta * self.eta_ld  # can underflow to 0
+        return math.sqrt(2.0) * math.pi / product if product else math.inf
+
+    @property
+    def p_sc_theory(self) -> float:
+        return 2.0 * self.beta * self.gamma / self.delta_raman
+
+    @property
+    def phi_st_theory(self) -> float:
+        return self.beta * self.omega_hf / self.delta_raman
+
+    @property
+    def phi_st_measured(self) -> float | None:
+        return None if None in (self.dnu_st, self.tau_g) else self.dnu_st * self.tau_g
+
+    @property
+    def p_sc_inferred(self) -> float | None:
+        phi = self.phi_st_measured
+        return None if phi is None else phi * 2.0 * self.gamma / self.omega_hf
+
+    @property
+    def p_sc(self) -> float:
+        return self.p_sc_theory if self.p_sc_inferred is None else self.p_sc_inferred
+
+    @property
+    def phi_st(self) -> float:
+        measured = self.phi_st_measured
+        return self.phi_st_theory if measured is None else measured
+
+    @property
+    def gamma_sc(self) -> float | None:
+        return None if self.tau_g is None else self.p_sc / (2.0 * self.tau_g)
+
+    @property
+    def infidelity(self) -> float:
+        return (1.0 - self.kappa) * self.p_sc
 
 
 def error_budget(inputs: ErrorBudget) -> ErrorBudget:
-    """Complete an :class:`ErrorBudget` with its derived noise figures.
-
-    beta = sqrt(2) pi / (epsilon zeta eta); the theoretical scattering
-    probability is 2 beta gamma / Delta and the Stark phase beta omega_hf /
-    Delta. When a measured Stark shift is supplied, phi_st = dnu_st tau_g
-    and the scattering probability inferred from it is phi_st 2 gamma /
-    omega_hf. The predicted infidelity is (1 - kappa) p_sc.
-    """
-    b = inputs
-    beta = math.sqrt(2.0) * math.pi / (b.epsilon * b.zeta * b.eta_ld)
-    p_sc_theory = 2.0 * beta * b.gamma / b.delta_raman
-    phi_st_theory = beta * b.omega_hf / b.delta_raman
-
-    phi_st_measured = None
-    p_sc_inferred = None
-    if b.dnu_st is not None and b.tau_g is not None:
-        phi_st_measured = b.dnu_st * b.tau_g
-        p_sc_inferred = phi_st_measured * 2.0 * b.gamma / b.omega_hf
-
-    p_sc = p_sc_inferred if p_sc_inferred is not None else p_sc_theory
-    phi_st = phi_st_measured if phi_st_measured is not None else phi_st_theory
-    if not 0.0 <= p_sc <= 1.0:
-        raise ValueError(f"scattering probability {p_sc:.3f} outside [0, 1]")
-    gamma_sc = p_sc / (2.0 * b.tau_g) if b.tau_g is not None else None
-
-    return replace(
-        b, beta=beta, gamma_sc=gamma_sc, p_sc_theory=p_sc_theory,
-        p_sc_inferred=p_sc_inferred, p_sc=p_sc, phi_st_theory=phi_st_theory,
-        phi_st_measured=phi_st_measured, phi_st=phi_st,
-        infidelity=(1.0 - b.kappa) * p_sc)
+    """The budget itself: its noise figures are properties of its inputs."""
+    return inputs

@@ -46,8 +46,9 @@ def multinomial(probabilities, n: int, rng: np.random.Generator) -> np.ndarray:
 class BootstrapReport:
     """Summary of a resampled statistic distribution.
 
-    ``n_failures`` resamples had a statistic that raised; ``failures`` breaks
-    them down as sorted (exception type name, count) pairs.
+    ``failures`` counts the resamples whose statistic raised, as sorted
+    (exception type name, count) pairs; more than 5% failures invalidates
+    the report.
     """
 
     name: str
@@ -56,10 +57,16 @@ class BootstrapReport:
     std_error: float
     ci_low: float
     ci_high: float
-    n_failures: int = 0
-    valid: bool = True
     samples: tuple[float, ...] | None = None
     failures: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def n_failures(self) -> int:
+        return sum(n for _, n in self.failures)
+
+    @property
+    def valid(self) -> bool:
+        return self.n_failures <= 0.05 * self.n_resamples
 
     def to_dict(self) -> dict:
         doc = {
@@ -84,8 +91,9 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
 
     Resampling is stratified: each record's ``shots`` outcomes are redrawn
     with replacement from that record's empirical outcome distribution, so
-    the per-setting structure is preserved. ``statistic`` maps a list of
-    records to a float; resamples where it raises ``ValueError``,
+    the per-setting structure is preserved. Records are sorted by setting
+    first, so their order does not change the report. ``statistic`` maps a
+    list of records to a float; resamples where it raises ``ValueError``,
     ``LinAlgError`` or ``ReconstructionError`` are counted by exception type
     and excluded, and more than 5% failures invalidates the report. Any
     other exception propagates. Fewer than 2 successful resamples raise
@@ -93,7 +101,7 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
-    records = list(records)
+    records = sorted(records, key=lambda record: record.setting)
     estimate = float(statistic(records))
 
     values = []
@@ -113,18 +121,10 @@ def bootstrap(records, n_resamples: int, statistic, seed, name: str = "statistic
         raise ValueError(f"only {len(values)} of {n_resamples} bootstrap "
                          f"resamples succeeded; failures: {counts}")
     values = np.array(values)
-    n_failures = failures.total()
 
     ci_low, ci_high = np.percentile(values, [2.5, 97.5])
     return BootstrapReport(
-        name=name,
-        estimate=estimate,
-        n_resamples=n_resamples,
-        std_error=float(np.std(values, ddof=1)),
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
-        n_failures=n_failures,
-        valid=n_failures <= 0.05 * n_resamples,
+        name=name, estimate=estimate, n_resamples=n_resamples,
+        std_error=float(np.std(values, ddof=1)), ci_low=float(ci_low), ci_high=float(ci_high),
         samples=tuple(float(v) for v in values) if keep_samples else None,
-        failures=tuple(sorted(failures.items())),
-    )
+        failures=tuple(sorted(failures.items())))

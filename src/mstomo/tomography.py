@@ -136,9 +136,11 @@ class CountsRecord:
         counts = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "setting", (self.setting[0], self.setting[1]))
-        if counts.shape != (4,) or (counts < 0).any():
-            raise ValueError("counts must be 4 non-negative numbers")
-        if self.shots <= 0 or abs(counts.sum() - self.shots) > 1e-6 * max(1.0, self.shots):
+        if counts.shape != (4,) or not np.isfinite(counts).all() or (counts < 0).any():
+            raise ValueError("counts must be 4 finite non-negative numbers")
+        if not 0 < self.shots < math.inf:
+            raise ValueError(f"shots must be positive and finite, got {self.shots}")
+        if abs(counts.sum() - self.shots) > 1e-6 * max(1.0, self.shots):
             raise ValueError(f"counts sum {counts.sum()} != shots {self.shots}")
 
     @property

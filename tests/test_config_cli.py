@@ -79,6 +79,10 @@ def test_config_validation():
     ("epsilon = -1", ["tomo", "--no-bootstrap"]),
     ("delta_raman_khz = 1", ["scan", "time"]),
     ("scan_delta_max_khz = -1", ["budget"]),
+    ("dnu_st_khz = 1e5", ["scan", "time"]),
+    ("dnu_st_khz = 1e5", ["tomo", "--no-bootstrap"]),
+    ("dnu_st_khz = 1e5", ["budget"]),
+    ("dnu_st_khz = -75", ["budget"]),
 ])
 def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, argv):
     cfg_path = tmp_path / "bad.cfg"
@@ -91,7 +95,9 @@ def test_non_finite_and_negative_seed_are_config_errors(tmp_path, capsys, line, 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# values each validated key accepts; every other key takes any finite float
+# values each validated key accepts on its own; every other key takes any
+# finite float. The budget's p_sc rule joins several keys, so a draw can
+# still be a bad config.
 _VALID = {
     "eta_omega_khz": st.floats(1e-3, 1e3),
     "delta_khz": st.none() | _FINITE.filter(bool),
@@ -123,10 +129,16 @@ _VALID = {
 @given(st.fixed_dictionaries({f.name: _VALID.get(f.name, _FINITE)
                               for f in fields(RunConfig)}))
 def test_valid_config_round_trips_through_text(values):
-    cfg = RunConfig(**values)
     text = "\n".join(f"{key} = {'none' if value is None else repr(value)}"
-                     for key, value in cfg.to_dict().items())
-    assert config.parse_config(text) == cfg
+                     for key, value in values.items())
+    try:
+        cfg = RunConfig(**values)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as parsed:
+            config.parse_config(text)
+        assert str(parsed.value) == str(exc)
+    else:
+        assert config.parse_config(text) == cfg
 
 
 def _at_most(high, exclude=False):
@@ -140,7 +152,9 @@ def _beyond(low, high):
 
 
 # values just outside each key's range, with every other key at its default
-# (scan_delta_max_khz = 24, gamma_khz = 6e4, delta_raman_khz = 2e8)
+# (scan_delta_max_khz = 24, gamma_khz = 6e4, delta_raman_khz = 2e8). The
+# budget's p_sc passes 1 at dnu_st_khz = 246.669; a negative shift of a few
+# subnormals makes p_sc underflow to -0.0, which the rule accepts.
 _OUTSIDE = {
     "eta_omega_khz": _at_most(0.0),
     "delta_khz": st.just(0.0),
@@ -164,6 +178,7 @@ _OUTSIDE = {
     "zeta": _at_most(0.0),
     "eta_ld": _at_most(0.0),
     "omega_hf_khz": _at_most(0.0),
+    "dnu_st_khz": _at_most(-1e-300) | st.floats(min_value=246.7, allow_infinity=False),
 }
 
 
@@ -272,7 +287,10 @@ def test_zero_point_scan_writes_header_only(tmp_path):
 @pytest.mark.parametrize("lines, kind, key", [
     ("nbar = 0.3\nscan_delta_min_khz = 0.1\nscan_points = 3\n", "detuning",
      "scan_delta_min_khz/scan_delta_max_khz"),
-    ("nbar = 0.3\ndelta_khz = -0.1\nscan_points = 3\n", "time", "delta_khz"),
+    # without dnu_st_khz, as the 10 ms gate would take p_sc from the 75 kHz
+    # Stark shift to 39
+    ("nbar = 0.3\ndelta_khz = -0.1\nscan_points = 3\ndnu_st_khz = none\n", "time",
+     "delta_khz"),
     ("nbar = 0.3\neta_omega_khz = 1e4\n", "detuning", "eta_omega_khz"),
 ], ids=["detuning", "time", "eta_omega"])
 def test_scan_rejects_oversized_fock_register(tmp_path, capsys, monkeypatch,

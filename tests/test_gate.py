@@ -539,3 +539,15 @@ def test_error_budget_rejects_degenerate_inputs():
         reference_budget(delta_raman=TWO_PI * 10e6)
     with pytest.raises(ValueError, match="kappa"):
         reference_budget(kappa=1.5)
+    # p_sc 415 from the measured shift, 2.7 from the theory
+    with pytest.raises(ValueError, match=r"scattering probability 415\.\d+ from dnu_st"):
+        reference_budget(dnu_st=TWO_PI * 1e8)
+    with pytest.raises(ValueError, match=r"scattering probability 2\.\d+ from epsilon"):
+        reference_budget(dnu_st=None, epsilon=0.02)
+
+
+def test_error_budget_takes_no_derived_figures():
+    with pytest.raises(TypeError):
+        reference_budget(p_sc=0.5)
+    budget = reference_budget()
+    assert gate.error_budget(budget) is budget

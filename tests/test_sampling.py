@@ -198,3 +198,20 @@ def test_bootstrap_fidelity_scaling_with_shots():
         errors[shots] = report.std_error
     ratio = errors[200] / errors[800]
     assert 1.4 <= ratio <= 2.6  # 2 +/- 30%
+
+
+def test_bootstrap_ignores_record_order():
+    target = gate.target_state("uu", phi_e=-1.1)
+    truth = gate.scattering_channel(core.projector(target), 0.3, 0.27, target)
+    detection = tomo.DetectionModel.symmetric(0.97)
+
+    def fidelity_statistic(records):
+        rho = tomo.linear_inversion(records, detection).rho
+        return float((target.conj() @ rho @ target).real)
+
+    records = tomo.simulate_counts(truth, tomo.SETTINGS, 200, detection, seed=12)
+    forward, backward = (
+        sampling.bootstrap(ordered, 200, fidelity_statistic, seed=7,
+                           keep_samples=True).to_dict()
+        for ordered in (records, records[::-1]))
+    assert forward == backward

@@ -123,6 +123,14 @@ def test_counts_record_validation():
         tomo.CountsRecord(("z", "z"), np.array([1.0, 2.0, 3.0, 4.0]), 9.0)
     with pytest.raises(ValueError):
         tomo.CountsRecord(("z", "z"), np.array([-1.0, 2.0, 3.0, 6.0]), 10.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="counts"):
+            tomo.CountsRecord(("z", "z"), [bad, 0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="shots"):
+            tomo.CountsRecord(("z", "z"), [1.0, 0.0, 0.0, 0.0], bad)
+    # NaN counts with NaN shots: every comparison with NaN is false
+    with pytest.raises(ValueError, match="counts"):
+        tomo.CountsRecord(("z", "z"), [math.nan, 0.0, 0.0, 0.0], math.nan)
 
 
 def test_counts_csv_round_trip(tmp_path):
